@@ -6,13 +6,11 @@ Chebyshev polynomials of both kinds, q-numbers and q,p-numbers, plus the
 algebra that converts recurrence coefficients into skein coefficients.
 
 The arithmetic core is exact: arbitrary-precision integer coefficients
-over half-integer exponent lattices.  Hot kernels run from a compiled
-extension when available; ``kernel_backend()`` reports which one is in
-use (``KNOTPOLY_PURE=1`` forces the fallback).
+over half-integer exponent lattices, on one set of pure-Python term-dict
+kernels.
 """
 
 from . import errors
-from ._kernels import BACKEND as _BACKEND
 from .bivar import BiPoly, RadicalExpr
 from .chebyshev import (
     cheb_first,
@@ -88,5 +86,6 @@ __all__ = [
 
 
 def kernel_backend() -> str:
-    """Which arithmetic kernel is active: "compiled" or "pure"."""
-    return _BACKEND
+    """The arithmetic kernel in use; always "pure", since the package is
+    pure Python."""
+    return "pure"

@@ -1,26 +1,5 @@
-"""Kernel selection: compiled extension when available, pure Python otherwise.
+"""The term-dict kernels every polynomial operation runs on (see ``pure``)."""
 
-Set ``KNOTPOLY_PURE=1`` to force the pure-Python fallback regardless of
-whether the extension was built.
-"""
+from .pure import add_terms, bi_mul_terms, mul_terms, neg_terms, scale_terms, sub_terms
 
-import os
-
-from . import pure as _pure
-
-if os.environ.get("KNOTPOLY_PURE", "") not in ("", "0"):
-    _impl = _pure
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = "pure" if _impl is _pure else "compiled"
-
-add_terms = _impl.add_terms
-sub_terms = _impl.sub_terms
-neg_terms = _impl.neg_terms
-scale_terms = _impl.scale_terms
-mul_terms = _impl.mul_terms
-bi_mul_terms = _impl.bi_mul_terms
+__all__ = ["add_terms", "bi_mul_terms", "mul_terms", "neg_terms", "scale_terms", "sub_terms"]

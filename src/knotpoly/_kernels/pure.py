@@ -1,8 +1,5 @@
 """Pure-Python term-dict kernels.
 
-Same contract as the compiled module in ``_speedups.pyx``; the package
-picks one of the two at import time (see ``knotpoly._kernels``).
-
 A term dict maps exponent keys to nonzero integer coefficients.  The
 add/sub/neg/scale kernels are key-agnostic; multiplication comes in a
 univariate flavour (integer keys) and a bivariate one (pairs of ints).

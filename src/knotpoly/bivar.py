@@ -14,27 +14,9 @@ import math
 
 from ._kernels import add_terms, bi_mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import _dense_sqrt, _join_terms, _pow_str, _to_numerator
+from .laurent import _pow_str, _sqrt_terms, _TermPoly, _to_numerator
 
 __all__ = ["BiPoly", "RadicalExpr"]
-
-
-def _uni_sqrt_dict(terms):
-    """Square root of a univariate numerator-keyed dict, or None."""
-    if not terms:
-        return {}
-    lo = min(terms)
-    hi = max(terms)
-    if lo % 2:
-        return None
-    dense = [0] * (hi - lo + 1)
-    for num, coeff in terms.items():
-        dense[num - lo] = coeff
-    root = _dense_sqrt(dense)
-    if root is None:
-        return None
-    shift = lo // 2
-    return {shift + j: c for j, c in enumerate(root) if c}
 
 
 def _uni_divexact(num, den):
@@ -84,7 +66,7 @@ def _bi_sqrt_terms(terms):
         return None
     half = top // 2
     lead_poly = {nb: c for (na, nb), c in shifted.items() if na == top}
-    lead_root = _uni_sqrt_dict(lead_poly)
+    lead_root = _sqrt_terms(lead_poly)
     if lead_root is None:
         return None
     root = {(half, nb): c for nb, c in lead_root.items()}
@@ -114,28 +96,24 @@ def _power(base: complex, k: int) -> complex:
     return base**k
 
 
-class BiPoly:
+class BiPoly(_TermPoly):
     """Sparse polynomial in an ordered pair of variables, with exact
     integer coefficients and half-integer exponents per variable."""
 
     __slots__ = ("variables", "terms")
+    _UNIT = (0, 0)
 
     def __init__(self, terms=(), variables=("q", "p")):
         va, vb = variables
-        clean: dict[tuple[int, int], int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for key, coeff in items:
-            na, nb = key
-            if not (isinstance(na, int) and isinstance(nb, int)):
-                raise TypeError(f"exponent numerators {key!r} are not ints")
-            key = (na, nb)
-            c = clean.get(key, 0) + int(coeff)
-            if c:
-                clean[key] = c
-            elif key in clean:
-                del clean[key]
         self.variables = (va, vb)
-        self.terms = clean
+        self.terms = self._canonical(terms)
+
+    @staticmethod
+    def _check_key(key):
+        na, nb = key
+        if type(na) is not int or type(nb) is not int:
+            raise TypeError(f"exponent numerators {key!r} are not ints")
+        return (na, nb)
 
     # -- constructors ------------------------------------------------
 
@@ -151,7 +129,7 @@ class BiPoly:
         """Build from ((expA, expB), coefficient) pairs with integer or
         half-integer exponents."""
         return cls(
-            (((_to_numerator(ea), _to_numerator(eb)), int(c)) for (ea, eb), c in pairs),
+            (((_to_numerator(ea), _to_numerator(eb)), c) for (ea, eb), c in pairs),
             variables,
         )
 
@@ -221,34 +199,7 @@ class BiPoly:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = {(0, 0): 1}
-        base = self.terms
-        while k:
-            if k & 1:
-                result = bi_mul_terms(result, base)
-            k >>= 1
-            if k:
-                base = bi_mul_terms(base, base)
-        return BiPoly._make(self.variables, result)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({(0, 0): other} if other else {})
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        return BiPoly._make(self.variables, self._pow_terms(k, bi_mul_terms))
 
     # -- transforms --------------------------------------------------
 
@@ -344,7 +295,7 @@ class BiPoly:
             "den": 2,
             "terms": [
                 {"numA": na, "numB": nb, "coeff": str(self.terms[(na, nb)])}
-                for na, nb in sorted(self.terms, key=lambda k: (-k[0], -k[1]))
+                for na, nb in sorted(self.terms, reverse=True)
             ],
         }
 
@@ -360,35 +311,12 @@ class BiPoly:
 
     def render(self, style: str = "text", *, ascending: bool = True) -> str:
         """Text terms ordered by the first variable's exponent (ascending by
-        default, descending with ``ascending=False``), ties ordered by
-        ascending second exponent; or the canonical JSON form."""
-        if style == "json":
-            return json.dumps(self.to_json_dict())
-        if style != "text":
-            raise ValueError(f"unknown style {style!r}")
-        if not self.terms:
-            return "0"
+        default, descending with ``ascending=False``), ties broken by the
+        second exponent in the same direction; or the canonical JSON form."""
         va, vb = self.variables
-        if ascending:
-            keys = sorted(self.terms)
-        else:
-            keys = sorted(self.terms, key=lambda k: (-k[0], -k[1]))
-        chunks = []
-        for na, nb in keys:
-            coeff = self.terms[(na, nb)]
-            body = _pow_str(va, na) + _pow_str(vb, nb)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}{body}"
-            chunks.append((coeff > 0, text))
-        return _join_terms(chunks)
-
-    def __str__(self):
-        return self.render()
+        return self._render(
+            style, not ascending, lambda key: _pow_str(va, key[0]) + _pow_str(vb, key[1])
+        )
 
     def __repr__(self):
         return f"BiPoly({self.terms!r}, variables={self.variables!r})"
@@ -476,6 +404,8 @@ class RadicalExpr:
     def render(self, style: str = "text", *, ascending: bool = True) -> str:
         if style == "json":
             return json.dumps(self.to_json_dict())
+        if style != "text":
+            raise ValueError(f"unknown style {style!r}")
         if not self.radicands:
             return self.prefactor.render(ascending=ascending)
         parts = []

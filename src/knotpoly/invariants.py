@@ -53,7 +53,7 @@ class TorusIndex:
     s: int
 
     def __post_init__(self):
-        if not isinstance(self.s, int) or self.s < 1:
+        if not isinstance(self.s, int) or isinstance(self.s, bool) or self.s < 1:
             raise ValueError(f"s must be a positive integer, got {self.s!r}")
 
     @property

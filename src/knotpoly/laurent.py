@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from functools import partial
 
 from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
@@ -26,6 +27,8 @@ __all__ = ["LaurentPoly"]
 
 def _to_numerator(exponent) -> int:
     """Exponent (int, or Fraction with denominator 1 or 2) -> numerator in half-steps."""
+    if isinstance(exponent, bool):
+        raise TypeError(f"exponent {exponent!r} is a bool, not a number")
     if isinstance(exponent, int):
         return 2 * exponent
     frac = Fraction(exponent)
@@ -49,29 +52,24 @@ def _pow_str(variable: str, num: int) -> str:
     return f"{variable}^({num}/2)"
 
 
-def _join_terms(chunks) -> str:
-    """chunks: iterable of (positive, body) in display order."""
-    parts = []
-    for positive, body in chunks:
-        if not parts:
-            parts.append(body if positive else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if positive else f"- {body}")
-    return " ".join(parts)
+def _sqrt_terms(terms):
+    """Square root of a univariate numerator-keyed dict, normalised to a
+    positive leading coefficient; None when no root with integer
+    coefficients exists on the half-exponent lattice.
 
-
-def _dense_sqrt(coeffs):
-    """Square root of an ordinary integer polynomial in dense form.
-
-    ``coeffs[k]`` is the degree-k coefficient and the leading entry is
-    nonzero.  Returns the dense root with positive leading coefficient,
-    or None when no root with integer coefficients exists.
+    Long division on the dense coefficient list, from the top down.
     """
-    deg = len(coeffs) - 1
-    if deg % 2:
+    if not terms:
+        return {}
+    lo = min(terms)
+    deg = max(terms) - lo
+    if lo % 2 or deg % 2:
         return None
+    rem = [0] * (deg + 1)
+    for num, coeff in terms.items():
+        rem[num - lo] = coeff
     half = deg // 2
-    lead = coeffs[-1]
+    lead = rem[deg]
     if lead < 0:
         return None
     root_lead = math.isqrt(lead)
@@ -79,15 +77,15 @@ def _dense_sqrt(coeffs):
         return None
     root = [0] * (half + 1)
     root[half] = root_lead
-    rem = list(coeffs)
-    rem[-1] = 0
+    rem[deg] = 0
     twice = 2 * root_lead
     top = deg - 1
     while True:
         while top >= 0 and rem[top] == 0:
             top -= 1
         if top < 0:
-            return root
+            shift = lo // 2
+            return {shift + j: c for j, c in enumerate(root) if c}
         exp = top - half
         if exp < 0:
             return None
@@ -102,7 +100,105 @@ def _dense_sqrt(coeffs):
         root[exp] = q
 
 
-class LaurentPoly:
+class _TermPoly:
+    """What ``LaurentPoly`` and ``BiPoly`` share: a canonical ``terms``
+    dict (no zero coefficient) keyed by exponent numerators, with
+    ``_UNIT`` the key of the constant term.
+
+    Equality compares term maps only, and a constant polynomial equals
+    (and hashes like) its int.
+    """
+
+    __slots__ = ()
+    _UNIT: object  # set by each subclass
+
+    @classmethod
+    def _canonical(cls, terms) -> dict:
+        """Validated term dict from a mapping or iterable of (key, coeff)
+        pairs: duplicates summed, zero coefficients dropped.  Exponent
+        numerators and coefficients must be plain ints, so a bool or a
+        float is refused rather than read as a number."""
+        clean = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for key, coeff in items:
+            key = cls._check_key(key)
+            if type(coeff) is not int:
+                raise TypeError(f"coefficient {coeff!r} is not an int")
+            c = clean.get(key, 0) + coeff
+            if c:
+                clean[key] = c
+            elif key in clean:
+                del clean[key]
+        return clean
+
+    def _pow_terms(self, k: int, mul) -> dict:
+        """``self.terms`` to the power ``k`` by square-and-multiply, with
+        the arity's multiplication kernel ``mul``."""
+        if k < 0:
+            raise ValueError("exponent must be nonnegative")
+        result = {self._UNIT: 1}
+        base = self.terms
+        while k:
+            if k & 1:
+                result = mul(result, base)
+            k >>= 1
+            if k:
+                base = mul(base, base)
+        return result
+
+    def _render(self, style: str, descending: bool, body) -> str:
+        """``render`` for either arity: the JSON form, or the terms in key
+        order with explicit signs, ``body(key)`` giving a term's powers."""
+        if style == "json":
+            return json.dumps(self.to_json_dict())
+        if style != "text":
+            raise ValueError(f"unknown style {style!r}")
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, reverse=descending):
+            coeff = self.terms[key]
+            powers = body(key)
+            mag = abs(coeff)
+            if not powers:
+                text = str(mag)
+            elif mag == 1:
+                text = powers
+            else:
+                text = f"{mag}{powers}"
+            if not parts:
+                parts.append(text if coeff > 0 else f"-{text}")
+            else:
+                parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+        return " ".join(parts)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            return self.terms == ({self._UNIT: other} if other else {})
+        if not isinstance(other, _TermPoly) or other._UNIT != self._UNIT:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        terms = self.terms
+        if not terms:
+            return 0
+        if len(terms) == 1 and self._UNIT in terms:
+            return hash(terms[self._UNIT])
+        return hash(frozenset(terms.items()))
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __str__(self):
+        return self.render()
+
+
+class LaurentPoly(_TermPoly):
     """Sparse Laurent polynomial over the integers.
 
     ``terms`` maps exponent numerators (exponent * 2) to nonzero integer
@@ -112,20 +208,17 @@ class LaurentPoly:
     """
 
     __slots__ = ("variable", "terms")
+    _UNIT = 0
 
     def __init__(self, terms=(), variable: str = "t"):
-        clean: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for num, coeff in items:
-            if not isinstance(num, int):
-                raise TypeError(f"exponent numerator {num!r} is not an int")
-            c = clean.get(num, 0) + int(coeff)
-            if c:
-                clean[num] = c
-            elif num in clean:
-                del clean[num]
         self.variable = variable
-        self.terms = clean
+        self.terms = self._canonical(terms)
+
+    @staticmethod
+    def _check_key(num):
+        if type(num) is not int:
+            raise TypeError(f"exponent numerator {num!r} is not an int")
+        return num
 
     # -- constructors ------------------------------------------------
 
@@ -141,7 +234,7 @@ class LaurentPoly:
     def from_terms(cls, pairs, variable: str = "t") -> "LaurentPoly":
         """Build from (exponent, coefficient) pairs; duplicates are summed
         and zero coefficients dropped."""
-        return cls(((_to_numerator(e), int(c)) for e, c in pairs), variable)
+        return cls(((_to_numerator(e), c) for e, c in pairs), variable)
 
     @classmethod
     def zero(cls, variable: str = "t") -> "LaurentPoly":
@@ -215,36 +308,9 @@ class LaurentPoly:
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = {0: 1}
-        base = self.terms
-        while k:
-            if k & 1:
-                result = mul_terms(result, base)
-            k >>= 1
-            if k:
-                base = mul_terms(base, base)
-        return LaurentPoly._make(self.variable, result)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.terms == ({0: other} if other else {})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __bool__(self):
-        return bool(self.terms)
+        return LaurentPoly._make(self.variable, self._pow_terms(k, mul_terms))
 
     # -- queries -----------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def degree(self) -> Fraction:
         """Highest exponent; raises ValueError on the zero polynomial."""
@@ -302,19 +368,10 @@ class LaurentPoly:
         """
         if not self.terms:
             raise ValueError("the zero polynomial has no canonical square root")
-        lo = min(self.terms)
-        hi = max(self.terms)
-        if lo % 2 == 0 and (hi - lo) % 2 == 0:
-            dense = [0] * (hi - lo + 1)
-            for num, coeff in self.terms.items():
-                dense[num - lo] = coeff
-            root = _dense_sqrt(dense)
-            if root is not None:
-                shift = lo // 2
-                return LaurentPoly._make(
-                    self.variable, {shift + j: c for j, c in enumerate(root) if c}
-                )
-        raise NotAPerfectSquare(f"{self} is not a perfect square")
+        root = _sqrt_terms(self.terms)
+        if root is None:
+            raise NotAPerfectSquare(f"{self} is not a perfect square")
+        return LaurentPoly._make(self.variable, root)
 
     def eval_complex(self, value) -> complex:
         """Numeric evaluation; half exponents use the principal square root
@@ -370,28 +427,7 @@ class LaurentPoly:
     def render(self, style: str = "text") -> str:
         """Terms in descending exponent order with explicit signs, or the
         canonical JSON form."""
-        if style == "json":
-            return json.dumps(self.to_json_dict())
-        if style != "text":
-            raise ValueError(f"unknown style {style!r}")
-        if not self.terms:
-            return "0"
-        chunks = []
-        for num in sorted(self.terms, reverse=True):
-            coeff = self.terms[num]
-            body = _pow_str(self.variable, num)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}{body}"
-            chunks.append((coeff > 0, text))
-        return _join_terms(chunks)
-
-    def __str__(self):
-        return self.render()
+        return self._render(style, True, partial(_pow_str, self.variable))
 
     def __repr__(self):
         return f"LaurentPoly({self.terms!r}, variable={self.variable!r})"

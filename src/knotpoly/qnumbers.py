@@ -22,7 +22,7 @@ __all__ = [
 
 
 def _check_index(n) -> int:
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ValueError(f"index must be a nonnegative integer, got {n!r}")
     return n
 

@@ -154,6 +154,10 @@ class TestRadicalExpr:
         assert str((r * x - 2 * r).sqrt()) == "r^(1/2) * sqrt(x - 2)"
         assert str((a * a * z * z).sqrt()) == "az"
 
+    def test_render_rejects_unknown_style(self):
+        with pytest.raises(ValueError, match="unknown style"):
+            RadicalExpr(BiPoly.one()).render("bogus")
+
 
 class TestEval:
     def test_half_exponents(self):

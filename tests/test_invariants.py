@@ -28,7 +28,7 @@ class TestTorusIndex:
         assert TorusIndex(2).m == Fraction(1, 2) and TorusIndex(2).is_link
         assert TorusIndex(7).m == 3 and not TorusIndex(7).is_link
 
-    @pytest.mark.parametrize("bad", [0, -3, Fraction(3, 2)])
+    @pytest.mark.parametrize("bad", [0, -3, Fraction(3, 2), True])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             TorusIndex(bad)
@@ -37,6 +37,10 @@ class TestTorusIndex:
 class TestAlexanderClosed:
     def test_unknot(self):
         assert alexander_closed(1) == 1
+
+    def test_bool_index_rejected(self):
+        with pytest.raises(ValueError):
+            alexander_closed(True)
 
     def test_hopf_link(self):
         assert str(alexander_closed(2)) == "t^(1/2) - t^(-1/2)"

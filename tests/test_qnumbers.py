@@ -40,6 +40,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             qpnum_closed(-2)
 
+    def test_bool_index_rejected(self):
+        with pytest.raises(ValueError):
+            qnum_closed(True)
+        with pytest.raises(ValueError):
+            qpnum_rec_seq(False)
+
 
 class TestRecurrences:
     def test_small_values(self):
