@@ -14,7 +14,7 @@ import math
 
 from ._kernels import add_terms, bi_mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import _pow_str, _sqrt_terms, _TermPoly, _to_numerator
+from .laurent import _json_coeff, _pow_str, _sqrt_terms, _TermPoly, _to_numerator
 
 __all__ = ["BiPoly", "RadicalExpr"]
 
@@ -139,7 +139,8 @@ class BiPoly(_TermPoly):
 
     @classmethod
     def constant(cls, value: int, variables=("q", "p")) -> "BiPoly":
-        value = int(value)
+        if type(value) is not int:
+            raise TypeError(f"coefficient {value!r} is not an int")
         return cls._make(tuple(variables), {(0, 0): value} if value else {})
 
     @classmethod
@@ -305,7 +306,7 @@ class BiPoly(_TermPoly):
             raise ValueError("expected an exponent denominator of 2")
         va, vb = obj.get("variables", ("q", "p"))
         return cls(
-            (((int(t["numA"]), int(t["numB"])), int(t["coeff"])) for t in obj["terms"]),
+            (((t["numA"], t["numB"]), _json_coeff(t["coeff"])) for t in obj["terms"]),
             variables=(va, vb),
         )
 
@@ -382,18 +383,20 @@ class RadicalExpr:
             total *= cmath.sqrt(rad.eval_complex(point))
         return total
 
+    def _radicand_key(self):
+        return tuple(sorted(tuple(sorted(r.terms.items())) for r in self.radicands))
+
     def __eq__(self, other):
-        if isinstance(other, BiPoly):
+        # a radical-free value equals its prefactor, as BiPoly or as int
+        if isinstance(other, (BiPoly, int)):
             return not self.radicands and self.prefactor == other
         if not isinstance(other, RadicalExpr):
             return NotImplemented
+        return (self.prefactor == other.prefactor
+                and self._radicand_key() == other._radicand_key())
 
-        def key(rads):
-            return sorted(sorted(r.terms.items()) for r in rads)
-
-        return self.prefactor == other.prefactor and key(self.radicands) == key(
-            other.radicands
-        )
+    def __hash__(self):
+        return hash((self.prefactor, self._radicand_key()) if self.radicands else self.prefactor)
 
     def to_json_dict(self) -> dict:
         return {

@@ -8,153 +8,20 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 
+from . import identities
 from .bivar import BiPoly
 from .chebyshev import cheb_first, cheb_first_seq, cheb_second, cheb_second_seq
 from .invariants import (
     alexander_closed,
-    alexander_knot_rec,
-    alexander_qp,
     alexander_unified_rec,
     compose_skein,
     derive_skein,
-    homfly_from_alexander,
     homfly_rec,
-    verify_skein,
 )
-from .laurent import LaurentPoly
-from .qnumbers import qnum_closed, qnum_rec_seq, qpnum_closed, qpnum_rec_seq
-
-_TRIG_THETAS = (0.3, 0.7, 1.1, 2.0)
-_TRIG_RADII = (0.5, 1.0, 2.0)
-_TOL = 1e-9
-
-
-# -- verification suites (passed, total, failure descriptions) -----------
-
-
-def _suite_unified_skein(max_n):
-    if max_n < 3:
-        return 0, 0, []
-    seq = alexander_unified_rec(max_n)
-    b1 = LaurentPoly._make("t", {1: 1, -1: -1})
-    report = verify_skein(seq, b1, 1)
-    failures = [f"triple at s={c.index + 1}: {c.detail}" for c in report.failures]
-    good = sum(1 for c in report.checks if c.ok)
-    return good, len(report.checks), failures
-
-
-def _suite_knot_recurrence(max_n):
-    rec = alexander_knot_rec(max_n)
-    failures = []
-    for m in range(max_n + 1):
-        if rec[m] != alexander_closed(2 * m + 1):
-            failures.append(f"knot member m={m} disagrees with the closed form")
-    total = max_n + 1
-    return total - len(failures), total, failures
-
-
-def _suite_qnum_oracle(max_n):
-    failures = []
-    rec = qnum_rec_seq(max_n)
-    qp_rec = qpnum_rec_seq(max_n)
-    for n in range(max_n + 1):
-        if rec[n] != qnum_closed(n):
-            failures.append(f"q-number {n}: recurrence vs closed form")
-        if qp_rec[n] != qpnum_closed(n):
-            failures.append(f"q,p-number {n}: recurrence vs closed form")
-    total = 2 * (max_n + 1)
-    return total - len(failures), total, failures
-
-
-def _suite_chebyshev_identity(max_n):
-    first = cheb_first_seq(max_n)
-    second = cheb_second_seq(max_n)
-    failures = []
-    for n in range(2, max_n + 1):
-        if first[n] != second[n] - second[n - 2]:
-            failures.append(f"first-kind n={n} differs from V_n - V_(n-2)")
-    total = max(0, max_n - 1)
-    return total - len(failures), total, failures
-
-
-def _suite_alexander_chebyshev(max_n):
-    second = cheb_second_seq(max_n)
-    inner = LaurentPoly._make("t", {2: 1, -2: 1})
-    failures = []
-    for n in range(1, max_n + 1):
-        built = (second[n] - second[n - 1]).compose(inner)
-        if built != alexander_closed(2 * n + 1):
-            failures.append(f"Chebyshev route n={n} misses the knot member")
-    return max_n - len(failures), max_n, failures
-
-
-def _suite_qp_specialization(max_n):
-    t = LaurentPoly.gen("t")
-    t_inv = LaurentPoly._make("t", {-2: 1})
-    failures = []
-    for n in range(max_n + 1):
-        if alexander_qp(n).substitute(t, t_inv) != alexander_closed(2 * n + 1):
-            failures.append(f"q,p specialisation n={n} misses the knot member")
-    total = max_n + 1
-    return total - len(failures), total, failures
-
-
-def _suite_homfly_bridge(max_n):
-    table = homfly_rec(max_n)
-    failures = []
-    for n in range(1, max_n + 1):
-        if homfly_from_alexander(n) != table[n]:
-            failures.append(f"substitution route m={n} differs from the recurrence")
-    return max_n - len(failures), max_n, failures
-
-
-def _suite_trig(max_n):
-    first = cheb_first_seq(max_n)
-    second = cheb_second_seq(max_n)
-    passed = total = 0
-    failures = []
-    for n in range(1, max_n + 1):
-        qn = qnum_closed(n)
-        qpn = qpnum_closed(n)
-        for theta in _TRIG_THETAS:
-            ratio = math.sin(n * theta) / math.sin(theta)
-            x = 2.0 * math.cos(theta)
-            checks = [
-                ("first-kind", first[n].eval_complex(x), 2.0 * math.cos(n * theta)),
-                ("second-kind", second[n].eval_complex(x),
-                 math.sin((n + 1) * theta) / math.sin(theta)),
-                ("q-number", qn.eval_complex(cmath.exp(1j * theta)), ratio),
-            ]
-            for r in _TRIG_RADII:
-                point = (r * cmath.exp(1j * theta), r * cmath.exp(-1j * theta))
-                checks.append(
-                    (f"q,p-number r={r}", qpn.eval_complex(point), r ** (n - 1) * ratio)
-                )
-            for name, got, expected in checks:
-                total += 1
-                err = abs(got - expected) / max(1.0, abs(expected))
-                if err <= _TOL:
-                    passed += 1
-                else:
-                    failures.append(f"{name} n={n} theta={theta}: error {err:.2e}")
-    return passed, total, failures
-
-
-_VERIFY_SUITES = {
-    "unified-skein": _suite_unified_skein,
-    "knot-recurrence": _suite_knot_recurrence,
-    "qnum-oracle": _suite_qnum_oracle,
-    "chebyshev-identity": _suite_chebyshev_identity,
-    "alexander-chebyshev": _suite_alexander_chebyshev,
-    "qp-specialization": _suite_qp_specialization,
-    "homfly-bridge": _suite_homfly_bridge,
-    "trig": _suite_trig,
-}
+from .qnumbers import qnum_closed, qpnum_closed
 
 
 # -- tables ----------------------------------------------------------------
@@ -293,19 +160,11 @@ def _cmd_skein_derive(args):
 
 
 def _cmd_verify(args):
-    passed, total, failures = _VERIFY_SUITES[args.suite](args.max_n)
+    passed, total, failures = identities.run(args.suite, args.max_n)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "suite": args.suite,
-                    "max_n": args.max_n,
-                    "passed": passed,
-                    "total": total,
-                    "failures": failures,
-                }
-            )
-        )
+        report = {"suite": args.suite, "max_n": args.max_n, "passed": passed,
+                  "total": total, "failures": failures}
+        print(json.dumps(report))
     else:
         print(f"{passed}/{total} identities hold")
         for line in failures:
@@ -336,24 +195,21 @@ def _cmd_table(args):
 # -- parser -----------------------------------------------------------------
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
-    return value
+def _int_at_least(lower):
+    """An argparse type: an integer no smaller than ``lower``."""
 
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lower:
+            raise argparse.ArgumentTypeError(
+                "value must be nonnegative" if lower == 0 else f"value must be at least {lower}"
+            )
+        return value
 
-def _nonneg_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be nonnegative")
-    return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,28 +226,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "alexander", parents=[fmt], help="Alexander polynomial of the s-crossing member"
     )
-    p.add_argument("--s", type=_positive_int, required=True, help="crossing number, s >= 1")
+    p.add_argument("--s", type=_int_at_least(1), required=True, help="crossing number, s >= 1")
     p.set_defaults(func=_cmd_alexander)
 
     p = sub.add_parser(
         "homfly", parents=[fmt], help="HOMFLY polynomial of the degree-m knot member"
     )
-    p.add_argument("--m", type=_nonneg_int, required=True, help="degree index, m >= 0")
+    p.add_argument("--m", type=_int_at_least(0), required=True, help="degree index, m >= 0")
     p.set_defaults(func=_cmd_homfly)
 
     p = sub.add_parser("qnum", parents=[fmt], help="q-number of the integer n")
-    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_qnum)
 
     p = sub.add_parser("qpnum", parents=[fmt], help="q,p-number of the integer n")
-    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_qpnum)
 
     p = sub.add_parser(
         "chebyshev", parents=[fmt], help="Chebyshev polynomial of the first or second kind"
     )
     p.add_argument("--kind", choices=("first", "second"), required=True)
-    p.add_argument("--n", type=_nonneg_int, required=True)
+    p.add_argument("--n", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_chebyshev)
 
     p = sub.add_parser(
@@ -403,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_skein_derive)
 
     p = sub.add_parser("verify", parents=[fmt], help="run an identity suite")
-    p.add_argument("suite", choices=tuple(_VERIFY_SUITES))
-    p.add_argument("--max-n", type=_positive_int, default=50, dest="max_n")
+    p.add_argument("suite", choices=identities.SUITES)
+    p.add_argument("--max-n", type=_int_at_least(1), default=50, dest="max_n")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", parents=[fmt], help="print a family table")
     p.add_argument("family", choices=tuple(_TABLE_FAMILIES))
-    p.add_argument("--max", type=_nonneg_int, required=True)
+    p.add_argument("--max", type=_int_at_least(0), required=True)
     p.set_defaults(func=_cmd_table)
 
     return parser

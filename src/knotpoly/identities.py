@@ -1,0 +1,147 @@
+"""The identity registry: every identity that ``knotpoly verify`` and the
+acceptance criteria check, written out once, and the runner for a suite.
+
+A side is a function of ``(seq, n)``, where ``seq(builder)`` is
+``builder(max_n)``, built once per run.  Sides name their builders in
+their bodies, so each call looks them up in this module's globals.  Modes:
+``exact`` compares the sides at every n from ``start`` to ``max_n``.
+``skein`` hands the sequence ``lhs`` and its coefficients ``rhs = (b1, b2)``
+(each called once, with n = max_n) to ``verify_skein``; each triple is one
+identity, the first indexed ``start``.  ``numeric`` evaluates ``lhs`` at
+every ``(label, point, want)`` sample of ``rhs`` and needs an error within
+``TOL``: absolute, or relative to ``max(1, |want|)`` for a ``relative``
+entry.  Only the trigonometric values, which have no exact algebra, use it.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from typing import Callable, NamedTuple
+
+from .chebyshev import cheb_first_seq, cheb_second_seq
+from .invariants import (
+    alexander_closed,
+    alexander_knot_rec,
+    alexander_qp,
+    alexander_unified_rec,
+    homfly_from_alexander,
+    homfly_rec,
+    verify_skein,
+)
+from .laurent import LaurentPoly
+from .qnumbers import qnum_closed, qnum_rec_seq, qpnum_closed, qpnum_rec_seq
+
+__all__ = ["IDENTITIES", "SUITES", "TOL", "Identity", "run"]
+
+TOL = 1e-9
+_THETAS = (0.3, 0.7, 1.1, 2.0)
+_RADII = (0.5, 1.0, 2.0)
+_T = LaurentPoly.gen("t")
+_T_INV = LaurentPoly._make("t", {-2: 1})
+_T_PLUS_INV = LaurentPoly._make("t", {2: 1, -2: 1})
+_HALF_DIFF = LaurentPoly._make("t", {1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
+
+
+class Identity(NamedTuple):
+    name: str
+    suite: str
+    start: int
+    lhs: Callable
+    rhs: Callable
+    mode: str = "exact"
+    relative: bool = False
+
+
+IDENTITIES = (
+    Identity("unified skein triple", "unified-skein", 3,
+             lambda seq, n: seq(alexander_unified_rec), lambda seq, n: (_HALF_DIFF, 1), "skein"),
+    Identity("knot recurrence vs closed form", "knot-recurrence", 0,
+             lambda seq, n: seq(alexander_knot_rec)[n],
+             lambda seq, n: alexander_closed(2 * n + 1)),
+    Identity("q-number recurrence vs closed form", "qnum-oracle", 0,
+             lambda seq, n: seq(qnum_rec_seq)[n], lambda seq, n: qnum_closed(n)),
+    Identity("q,p-number recurrence vs closed form", "qnum-oracle", 0,
+             lambda seq, n: seq(qpnum_rec_seq)[n], lambda seq, n: qpnum_closed(n)),
+    Identity("first kind as V_n - V_(n-2)", "chebyshev-identity", 2,
+             lambda seq, n: seq(cheb_first_seq)[n],
+             lambda seq, n: seq(cheb_second_seq)[n] - seq(cheb_second_seq)[n - 2]),
+    Identity("Chebyshev route to the knot member", "alexander-chebyshev", 1,
+             lambda seq, n: (seq(cheb_second_seq)[n] - seq(cheb_second_seq)[n - 1])
+             .compose(_T_PLUS_INV),
+             lambda seq, n: alexander_closed(2 * n + 1)),
+    Identity("q,p specialisation to the knot member", "qp-specialization", 0,
+             lambda seq, n: alexander_qp(n).substitute(_T, _T_INV),
+             lambda seq, n: alexander_closed(2 * n + 1)),
+    Identity("HOMFLY substitution route vs recurrence", "homfly-bridge", 1,
+             lambda seq, n: homfly_from_alexander(n), lambda seq, n: seq(homfly_rec)[n]),
+    Identity("first-kind", "trig", 1, lambda seq, n: seq(cheb_first_seq)[n],
+             lambda seq, n: [(f"theta={th}", 2.0 * math.cos(th), 2.0 * math.cos(n * th))
+                             for th in _THETAS], "numeric"),
+    Identity("second-kind", "trig", 1, lambda seq, n: seq(cheb_second_seq)[n],
+             lambda seq, n: [(f"theta={th}", 2.0 * math.cos(th),
+                              math.sin((n + 1) * th) / math.sin(th)) for th in _THETAS],
+             "numeric", relative=True),
+    Identity("q-number", "trig", 1, lambda seq, n: qnum_closed(n),
+             lambda seq, n: [(f"theta={th}", cmath.exp(1j * th), math.sin(n * th) / math.sin(th))
+                             for th in _THETAS], "numeric"),
+    Identity("q,p-number", "trig", 1, lambda seq, n: qpnum_closed(n),
+             lambda seq, n: [(f"theta={th} r={r}",
+                              (r * cmath.exp(1j * th), r * cmath.exp(-1j * th)),
+                              r ** (n - 1) * (math.sin(n * th) / math.sin(th)))
+                             for th in _THETAS for r in _RADII], "numeric", relative=True),
+)
+
+SUITES = tuple(dict.fromkeys(ident.suite for ident in IDENTITIES))
+
+
+# -- checking: each mode yields (index, failure detail or None) -------------
+
+
+def _exact(ident, seq, max_n):
+    for n in range(ident.start, max_n + 1):
+        yield n, None if ident.lhs(seq, n) == ident.rhs(seq, n) else "sides differ"
+
+
+def _skein(ident, seq, max_n):
+    if max_n >= ident.start:
+        report = verify_skein(ident.lhs(seq, max_n), *ident.rhs(seq, max_n))
+        for offset, check in enumerate(report.checks):
+            yield ident.start + offset, None if check.ok else check.detail
+
+
+def _numeric(ident, seq, max_n):
+    for n in range(ident.start, max_n + 1):
+        poly = ident.lhs(seq, n)
+        for label, point, want in ident.rhs(seq, n):
+            err = abs(poly.eval_complex(point) - want)
+            if ident.relative:
+                err /= max(1.0, abs(want))
+            yield n, None if err <= TOL else f"{label} error {err:.2e}"
+
+
+_MODES = {"exact": _exact, "skein": _skein, "numeric": _numeric}
+
+
+def run(suite: str, max_n: int):
+    """Check every identity of ``suite`` up to index ``max_n``: returns
+    ``(passed, total, failures)``, one ``"<identity> n=<index>: <detail>"``
+    line per failure."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    built = {}
+
+    def seq(builder):
+        if builder not in built:
+            built[builder] = builder(max_n)
+        return built[builder]
+
+    total = 0
+    failures = []
+    for ident in IDENTITIES:
+        if ident.suite == suite:
+            for n, detail in _MODES[ident.mode](ident, seq, max_n):
+                total += 1
+                if detail is not None:
+                    failures.append(f"{ident.name} n={n}: {detail}")
+    return total - len(failures), total, failures

@@ -39,6 +39,12 @@ def _to_numerator(exponent) -> int:
     raise ValueError(f"exponent {exponent!r} is not on the half-integer lattice")
 
 
+def _json_coeff(coeff):
+    # the canonical JSON form writes a coefficient as a decimal string;
+    # anything else must already be an int
+    return int(coeff) if isinstance(coeff, str) else coeff
+
+
 def _pow_str(variable: str, num: int) -> str:
     """Render variable**(num/2); bare name for exponent one, parens for
     negative or fractional exponents."""
@@ -242,7 +248,8 @@ class LaurentPoly(_TermPoly):
 
     @classmethod
     def constant(cls, value: int, variable: str = "t") -> "LaurentPoly":
-        value = int(value)
+        if type(value) is not int:
+            raise TypeError(f"coefficient {value!r} is not an int")
         return cls._make(variable, {0: value} if value else {})
 
     @classmethod
@@ -261,7 +268,8 @@ class LaurentPoly(_TermPoly):
 
     @classmethod
     def monomial(cls, coeff: int, exponent, variable: str = "t") -> "LaurentPoly":
-        coeff = int(coeff)
+        if type(coeff) is not int:
+            raise TypeError(f"coefficient {coeff!r} is not an int")
         return cls._make(variable, {_to_numerator(exponent): coeff} if coeff else {})
 
     # -- ring structure ----------------------------------------------
@@ -420,7 +428,7 @@ class LaurentPoly(_TermPoly):
         if obj.get("den") != 2:
             raise ValueError("expected an exponent denominator of 2")
         return cls(
-            ((int(t["num"]), int(t["coeff"])) for t in obj["terms"]),
+            ((t["num"], _json_coeff(t["coeff"])) for t in obj["terms"]),
             variable=obj.get("variable", "t"),
         )
 

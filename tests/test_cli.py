@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from knotpoly import BiPoly, LaurentPoly
-from knotpoly import cli
+from knotpoly import cli, identities
 
 
 def run_cli(capsys, *argv):
@@ -76,18 +76,20 @@ class TestVerify:
         assert out == "50/50 identities hold\n"
 
     def test_all_suites_pass_small(self, capsys):
-        for suite in cli._VERIFY_SUITES:
+        for suite in identities.SUITES:
             code, out, err = run_cli(capsys, "verify", suite, "--max-n", "12")
             assert code == 0, (suite, out, err)
 
     def test_failing_suite_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            cli._VERIFY_SUITES, "homfly-bridge", lambda max_n: (max_n - 1, max_n, ["boom"])
-        )
-        code, out, err = run_cli(capsys, "verify", "homfly-bridge", "--max-n", "9")
-        assert code == 1
-        assert out == "8/9 identities hold\n"
-        assert "boom" in err
+        # negative control: one side of one registry identity perturbed at n=4
+        bridge = next(i for i in identities.IDENTITIES if i.suite == "homfly-bridge")
+        broken = bridge._replace(rhs=lambda seq, n: bridge.rhs(seq, n) + int(n == 4))
+        monkeypatch.setattr(identities, "IDENTITIES", (broken,))
+        line = f"{bridge.name} n=4: sides differ"
+        assert run_cli(capsys, "verify", "homfly-bridge", "--max-n", "9") == (
+            1, "8/9 identities hold\n", f"FAIL {line}\n")
+        code, out, _ = run_cli(capsys, "verify", "homfly-bridge", "--max-n", "9", "--format", "json")
+        assert (code, json.loads(out)["failures"]) == (1, [line])
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(

@@ -3,7 +3,7 @@ construction."""
 
 import pytest
 
-from knotpoly import BiPoly, LaurentPoly
+from knotpoly import BiPoly, LaurentPoly, RadicalExpr
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
@@ -23,27 +23,46 @@ def test_univariate_never_equals_bivariate():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: LaurentPoly([(True, 1)]),
-        lambda: LaurentPoly([(2, 1.7)]),
-        lambda: LaurentPoly([(2, True)]),
-        lambda: LaurentPoly.from_terms([(1, 1.7)]),
-        lambda: LaurentPoly.from_terms([(True, 1)]),
-        lambda: BiPoly([((True, 0), 1)]),
-        lambda: BiPoly([((2, 0), 1.7)]),
-        lambda: BiPoly.from_terms([((1, 0), 1.7)]),
-    ],
-    ids=[
-        "laurent-bool-exponent",
-        "laurent-float-coeff",
-        "laurent-bool-coeff",
-        "laurent-from-terms-float-coeff",
-        "laurent-from-terms-bool-exponent",
-        "bivar-bool-exponent",
-        "bivar-float-coeff",
-        "bivar-from-terms-float-coeff",
+        pytest.param(lambda: LaurentPoly([(True, 1)]), id="laurent-bool-exponent"),
+        pytest.param(lambda: LaurentPoly([(2, 1.7)]), id="laurent-float-coeff"),
+        pytest.param(lambda: LaurentPoly([(2, True)]), id="laurent-bool-coeff"),
+        pytest.param(lambda: LaurentPoly.from_terms([(1, 1.7)]),
+                     id="laurent-from-terms-float-coeff"),
+        pytest.param(lambda: LaurentPoly.from_terms([(True, 1)]),
+                     id="laurent-from-terms-bool-exponent"),
+        pytest.param(lambda: BiPoly([((True, 0), 1)]), id="bivar-bool-exponent"),
+        pytest.param(lambda: BiPoly([((2, 0), 1.7)]), id="bivar-float-coeff"),
+        pytest.param(lambda: BiPoly.from_terms([((1, 0), 1.7)]),
+                     id="bivar-from-terms-float-coeff"),
+        pytest.param(lambda: LaurentPoly.constant(1.7), id="laurent-constant-float"),
+        pytest.param(lambda: LaurentPoly.monomial(2.9, 1), id="laurent-monomial-float-coeff"),
+        pytest.param(lambda: BiPoly.constant(2.5), id="bivar-constant-float"),
     ],
 )
 def test_rejects_non_int_inputs(build):
     with pytest.raises(TypeError):
         build()
 
+
+@pytest.mark.parametrize(
+    "cls, term",
+    [
+        (LaurentPoly, {"num": 2.9, "coeff": "1"}),
+        (LaurentPoly, {"num": True, "coeff": "1"}),
+        (LaurentPoly, {"num": 2, "coeff": 1.7}),
+        (BiPoly, {"numA": True, "numB": 0, "coeff": "1"}),
+        (BiPoly, {"numA": 2, "numB": 0.5, "coeff": "1"}),
+        (BiPoly, {"numA": 2, "numB": 0, "coeff": 2.5}),
+    ],
+)
+def test_from_json_dict_rejects_non_int(cls, term):
+    with pytest.raises(TypeError):
+        cls.from_json_dict({"den": 2, "terms": [term]})
+
+
+def test_radical_free_value_equals_and_hashes_as_its_prefactor():
+    one = RadicalExpr(BiPoly.one())
+    assert one == 1 and hash(one) == hash(1) and len({one, BiPoly.one(), 1}) == 1
+    r, x = BiPoly.gens(("r", "x"))
+    assert RadicalExpr(r, [x - 2]) != r
+    assert len({RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 3])}) == 2
