@@ -30,6 +30,7 @@ from .invariants import (
     alexander_knot_rec,
     alexander_qp,
     alexander_rx,
+    alexander_rx_seq,
     alexander_unified_rec,
     compose_skein,
     derive_skein,
@@ -62,6 +63,7 @@ __all__ = [
     "alexander_knot_rec",
     "alexander_qp",
     "alexander_rx",
+    "alexander_rx_seq",
     "alexander_unified_rec",
     "cheb_first",
     "cheb_first_seq",

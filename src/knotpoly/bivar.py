@@ -14,7 +14,7 @@ import math
 
 from ._kernels import add_terms, bi_mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import _json_coeff, _pow_str, _sqrt_terms, _TermPoly, _to_numerator
+from .laurent import _json_coeff, _pow_str, _sqrt_terms, _substitute, _TermPoly, _to_numerator
 
 __all__ = ["BiPoly", "RadicalExpr"]
 
@@ -124,6 +124,9 @@ class BiPoly(_TermPoly):
         self.terms = terms
         return self
 
+    def _like(self, terms: dict) -> "BiPoly":
+        return BiPoly._make(self.variables, terms)
+
     @classmethod
     def from_terms(cls, pairs, variables=("q", "p")) -> "BiPoly":
         """Build from ((expA, expB), coefficient) pairs with integer or
@@ -217,22 +220,14 @@ class BiPoly(_TermPoly):
         univariate result).  This polynomial must have nonnegative
         integer exponents in both variables.
         """
-        rows: dict[int, dict[int, int]] = {}
+        source = {}
         for (na, nb), coeff in self.terms.items():
             if na < 0 or nb < 0 or na % 2 or nb % 2:
                 raise NonIntegralOuter(
                     "substitution source must have nonnegative integer exponents"
                 )
-            rows.setdefault(na // 2, {})[nb // 2] = coeff
-        zero = image_a * 0
-        result = zero
-        for i in range(max(rows, default=0), -1, -1):
-            row = rows.get(i, {})
-            inner = zero
-            for j in range(max(row, default=0), -1, -1):
-                inner = inner * image_b + row.get(j, 0)
-            result = result * image_a + inner
-        return result
+            source[(na // 2, nb // 2)] = coeff
+        return _substitute(source, (image_a, image_b))
 
     def sqrt(self) -> "RadicalExpr":
         """Split into a square part and a residual radicand.

@@ -21,11 +21,12 @@ from typing import Callable, NamedTuple
 
 from .chebyshev import cheb_first_seq, cheb_second_seq
 from .invariants import (
+    _HOMFLY_IMAGES,
     alexander_closed,
     alexander_knot_rec,
     alexander_qp,
+    alexander_rx_seq,
     alexander_unified_rec,
-    homfly_from_alexander,
     homfly_rec,
     verify_skein,
 )
@@ -74,7 +75,8 @@ IDENTITIES = (
              lambda seq, n: alexander_qp(n).substitute(_T, _T_INV),
              lambda seq, n: alexander_closed(2 * n + 1)),
     Identity("HOMFLY substitution route vs recurrence", "homfly-bridge", 1,
-             lambda seq, n: homfly_from_alexander(n), lambda seq, n: seq(homfly_rec)[n]),
+             lambda seq, n: seq(alexander_rx_seq)[n].substitute(*_HOMFLY_IMAGES),
+             lambda seq, n: seq(homfly_rec)[n]),
     Identity("first-kind", "trig", 1, lambda seq, n: seq(cheb_first_seq)[n],
              lambda seq, n: [(f"theta={th}", 2.0 * math.cos(th), 2.0 * math.cos(n * th))
                              for th in _THETAS], "numeric"),

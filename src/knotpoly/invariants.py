@@ -38,6 +38,7 @@ __all__ = [
     "alexander_from_qnum",
     "alexander_qp",
     "alexander_rx",
+    "alexander_rx_seq",
     "homfly_rec",
     "homfly_from_alexander",
     "derive_skein",
@@ -133,10 +134,11 @@ def alexander_qp(n: int, variables=("q", "p")) -> BiPoly:
     return qpnum_closed(n + 1, variables) - qp * qpnum_closed(n, variables)
 
 
-def alexander_rx(n: int, variables=("r", "x")) -> BiPoly:
-    """Two-variable generalisation in scale/trace form, built by the
-    recursion A_{k+1} = rx A_k - r^2 A_{k-1} from A_0 = 1, A_1 = rx - r^2."""
-    _check_index(n)
+def alexander_rx_seq(n_max: int, variables=("r", "x")) -> list[BiPoly]:
+    """Two-variable generalisation in scale/trace form, A_0..A_n, built by
+    the recursion A_{k+1} = rx A_k - r^2 A_{k-1} from A_0 = 1,
+    A_1 = rx - r^2."""
+    _check_index(n_max)
     variables = tuple(variables)
     seq = [
         BiPoly.one(variables),
@@ -144,9 +146,14 @@ def alexander_rx(n: int, variables=("r", "x")) -> BiPoly:
     ]
     rx = BiPoly._make(variables, {(2, 2): 1})
     r2 = BiPoly._make(variables, {(4, 0): 1})
-    while len(seq) <= n:
+    while len(seq) <= n_max:
         seq.append(rx * seq[-1] - r2 * seq[-2])
-    return seq[n]
+    return seq[: n_max + 1]
+
+
+def alexander_rx(n: int, variables=("r", "x")) -> BiPoly:
+    """The member A_n of :func:`alexander_rx_seq`."""
+    return alexander_rx_seq(n, variables)[n]
 
 
 # -- HOMFLY family -------------------------------------------------------
@@ -169,13 +176,17 @@ def homfly_rec(m_max: int) -> list[BiPoly]:
     return seq[: m_max + 1]
 
 
+# the substitution r = a^2, x = z^2 + 2 from the (r,x) form to HOMFLY
+_HOMFLY_IMAGES = (
+    BiPoly._make(("a", "z"), {(4, 0): 1}),
+    BiPoly._make(("a", "z"), {(0, 4): 1, (0, 0): 2}),
+)
+
+
 def homfly_from_alexander(n: int) -> BiPoly:
     """HOMFLY polynomial via the substitution r = a^2, x = z^2 + 2 applied
     to the (r,x)-form generalised Alexander polynomial."""
-    variables = ("a", "z")
-    a_sq = BiPoly._make(variables, {(4, 0): 1})
-    z_sq_plus_2 = BiPoly._make(variables, {(0, 4): 1, (0, 0): 2})
-    return alexander_rx(n).substitute(a_sq, z_sq_plus_2)
+    return alexander_rx(n).substitute(*_HOMFLY_IMAGES)
 
 
 # -- skein coefficients ----------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -39,10 +40,18 @@ def _to_numerator(exponent) -> int:
     raise ValueError(f"exponent {exponent!r} is not on the half-integer lattice")
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
 def _json_coeff(coeff):
-    # the canonical JSON form writes a coefficient as a decimal string;
-    # anything else must already be an int
-    return int(coeff) if isinstance(coeff, str) else coeff
+    # the canonical JSON form writes a coefficient as a decimal string:
+    # an optional sign, then ASCII digits; anything else must already be
+    # an int
+    if not isinstance(coeff, str):
+        return coeff
+    if not _DECIMAL.fullmatch(coeff):
+        raise ValueError(f"coefficient {coeff!r} is not a decimal integer")
+    return int(coeff)
 
 
 def _pow_str(variable: str, num: int) -> str:
@@ -104,6 +113,107 @@ def _sqrt_terms(terms):
                 rem[exp + j] -= 2 * q * rc
         rem[2 * exp] -= q * q
         root[exp] = q
+
+
+def _substitute(source, images):
+    """``sum(c * prod(images[i] ** k[i]))`` over the items ``(k, c)`` of
+    ``source``, whose keys are tuples of nonnegative int degrees, one per
+    image.  The result lies in the images' common ring, with the variable
+    names of the first polynomial image.
+
+    An image that is a monomial ``c X^e`` of that ring is an exponent remap,
+    sending degree k to key k·e with coefficient c^k, so with every image a
+    monomial the substitution is one pass over the terms.  Any other image
+    runs Horner over the degrees present only, jumping each gap with a
+    power of the image.
+    """
+    zero = images[0] * 0
+    for img in images[1:]:
+        zero = zero + img * 0  # the images' common ring; TypeError if none
+    monos = tuple(
+        next(iter(img.terms.items()))
+        if type(img) is type(zero) and isinstance(img, _TermPoly) and len(img.terms) == 1
+        else None
+        for img in images
+    )
+    return _substitute_rows(source, images, monos, zero)
+
+
+def _substitute_rows(source, images, monos, zero):
+    """``_substitute`` with its ring's ``zero`` and each image's monomial
+    ``(e, c)``, or None for an image that is not one."""
+    if None not in monos:
+        return zero._like(_remap(source, monos, zero._UNIT))
+    g = monos.index(None)
+    image = images[g]
+    rest, rest_monos = images[:g] + images[g + 1:], monos[:g] + monos[g + 1:]
+    rows = {}
+    for degrees, coeff in source.items():
+        rows.setdefault(degrees[g], {})[degrees[:g] + degrees[g + 1:]] = coeff
+    powers = {1: image}
+
+    def power(k):
+        if k not in powers:
+            powers[k] = image**k
+        return powers[k]
+
+    result = zero
+    prev = None
+    for d in sorted(rows, reverse=True):
+        if prev is not None:
+            result = result * power(prev - d)
+        row = rows[d]
+        result = result + (_substitute_rows(row, rest, rest_monos, zero) if rest else row[()])
+        prev = d
+    return result * power(prev) if prev else result
+
+
+def _remap(source, monos, unit):
+    """Term dict of the substitution of monomials ``c X^e``, given as
+    ``(e, c)`` pairs: each term goes to one key, colliding ones summed."""
+    out = {}
+    for degrees, coeff in source.items():
+        key = unit
+        for k, (e, c) in zip(degrees, monos):
+            if k:
+                coeff *= c**k
+                key = key + k * e if type(key) is int else (key[0] + k * e[0], key[1] + k * e[1])
+        v = out.get(key, 0) + coeff
+        if v:
+            out[key] = v
+        elif key in out:
+            del out[key]
+    return out
+
+
+def _exact_real_sum(terms, x: float) -> float:
+    """The sum of ``c x^(num/2)`` over integer-exponent ``terms`` at a
+    nonzero float x, computed exactly and rounded once.
+
+    x is exactly m / 2^e, so integer Horner gives
+    acc = sum(c_k m^(k - lo) 2^(e (hi - k))); the sum is acc m^lo / 2^(e hi),
+    and the int division rounds it correctly.
+    """
+    m, d = x.as_integer_ratio()  # raises on inf and nan
+    if not terms:
+        return 0.0
+    e = d.bit_length() - 1
+    nums = sorted(terms, reverse=True)
+    hi, lo = nums[0] // 2, nums[-1] // 2
+    acc = 0
+    prev = hi
+    for num in nums:
+        k = num // 2
+        acc = acc * m ** (prev - k) + (terms[num] << e * (hi - k))
+        prev = k
+    top, bottom = (acc * m**lo, 1) if lo >= 0 else (acc, m**-lo)
+    if hi >= 0:
+        bottom <<= e * hi
+    else:
+        top <<= -e * hi
+    if bottom < 0:  # a negative divisor would turn a zero sum into -0.0
+        top, bottom = -top, -bottom
+    return top / bottom
 
 
 class _TermPoly:
@@ -236,6 +346,9 @@ class LaurentPoly(_TermPoly):
         self.terms = terms
         return self
 
+    def _like(self, terms: dict) -> "LaurentPoly":
+        return LaurentPoly._make(self.variable, terms)
+
     @classmethod
     def from_terms(cls, pairs, variable: str = "t") -> "LaurentPoly":
         """Build from (exponent, coefficient) pairs; duplicates are summed
@@ -356,17 +469,14 @@ class LaurentPoly(_TermPoly):
         otherwise.  ``inner`` may be any value supporting ring
         arithmetic with ints; the result has inner's type.
         """
-        by_degree = {}
+        source = {}
         for num, coeff in self.terms.items():
             if num < 0 or num % 2:
                 raise NonIntegralOuter(
                     "composition source must have nonnegative integer exponents"
                 )
-            by_degree[num // 2] = coeff
-        result = inner * 0
-        for k in range(max(by_degree, default=0), -1, -1):
-            result = result * inner + by_degree.get(k, 0)
-        return result
+            source[(num // 2,)] = coeff
+        return _substitute(source, (inner,))
 
     def sqrt_perfect(self) -> "LaurentPoly":
         """Exact square root, normalised to a positive leading coefficient.
@@ -396,11 +506,7 @@ class LaurentPoly(_TermPoly):
             return complex(self.terms.get(0, 0))
         integral = all(num % 2 == 0 for num in self.terms)
         if integral and z.imag == 0:
-            base = Fraction(z.real)
-            total_exact = sum(
-                coeff * base ** (num // 2) for num, coeff in self.terms.items()
-            )
-            return complex(total_exact)
+            return complex(_exact_real_sum(self.terms, z.real))
         total = 0j
         if integral:
             for num, coeff in self.terms.items():

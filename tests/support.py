@@ -1,4 +1,8 @@
-"""Shared hypothesis strategies for randomised algebra tests."""
+"""Shared hypothesis strategies for randomised algebra tests, the naive
+references the fast paths are checked against, and an independent closed
+form of the Chebyshev family."""
+
+import math
 
 from hypothesis import strategies as st
 
@@ -48,3 +52,39 @@ def bi_polys_integral(max_degree=3, max_terms=6, max_coeff=9):
     keys = st.tuples(nums, nums)
     small = st.integers(min_value=-max_coeff, max_value=max_coeff)
     return st.lists(st.tuples(keys, small), min_size=0, max_size=max_terms).map(BiPoly)
+
+
+# -- naive references for the fast paths ------------------------------------
+
+
+def naive_compose(poly, inner):
+    """``poly.compose(inner)`` by dense Horner over every degree from the
+    top down to 0, zero coefficients included."""
+    by_degree = {num // 2: c for num, c in poly.terms.items()}
+    result = inner * 0
+    for k in range(max(by_degree, default=0), -1, -1):
+        result = result * inner + by_degree.get(k, 0)
+    return result
+
+
+def naive_substitute(poly, image_a, image_b):
+    """``poly.substitute(image_a, image_b)`` by dense Horner across the
+    whole degree grid, zero rows and columns included."""
+    rows = {}
+    for (na, nb), c in poly.terms.items():
+        rows.setdefault(na // 2, {})[nb // 2] = c
+    zero = image_a * 0
+    result = zero
+    for i in range(max(rows, default=0), -1, -1):
+        row = rows.get(i, {})
+        inner = zero
+        for j in range(max(row, default=0), -1, -1):
+            inner = inner * image_b + row.get(j, 0)
+        result = result * image_a + inner
+    return result
+
+
+def cheb_second_closed(n):
+    """V_n(x) = sum((-1)^k C(n-k, k) x^(n-2k)) as ``{degree: coeff}`` in
+    plain ints; V_(-1) = 0 is the empty dict."""
+    return {n - 2 * k: (-1) ** k * math.comb(n - k, k) for k in range(n // 2 + 1)}

@@ -1,0 +1,230 @@
+"""The algorithm layer against naive references and closed forms: sparse
+substitution against dense Horner, integer-Horner evaluation against the
+exact Fraction sum, and the recurrence-built families against the binomial
+closed form of the Chebyshev polynomials."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knotpoly import (
+    BiPoly,
+    LaurentPoly,
+    alexander_rx,
+    alexander_rx_seq,
+    cheb_first_seq,
+    cheb_second_seq,
+    homfly_rec,
+    identities,
+    invariants,
+)
+
+from support import (
+    bi_polys_integral,
+    cheb_second_closed,
+    coefficients,
+    laurent_polys_integral,
+    naive_compose,
+    naive_substitute,
+)
+
+# -- sparse substitution ----------------------------------------------------
+
+# Image exponent numerators: negative and half exponents included.  Each
+# ring x image-kind combination is its own test case, 50 examples each.
+_nums = st.integers(min_value=-6, max_value=6)
+_small = st.integers(min_value=-3, max_value=3).filter(bool)
+_keys = {"laurent": _nums, "bivar": st.tuples(_nums, _nums)}
+
+
+def _image(ring, kind):
+    """A LaurentPoly in u or a BiPoly in (a, z): one term for "monomial",
+    anything else (zero included) for "general"."""
+    def build(pairs):
+        return LaurentPoly(pairs, "u") if ring == "laurent" else BiPoly(pairs, ("a", "z"))
+
+    terms = st.tuples(_keys[ring], _small)
+    if kind == "monomial":
+        return st.lists(terms, min_size=1, max_size=1).map(build)
+    return st.lists(terms, max_size=4).map(build).filter(lambda p: len(p.terms) != 1)
+
+
+def _same(got, want):
+    assert got == want
+    assert type(got) is type(want)
+    assert getattr(got, "variable", None) == getattr(want, "variable", None)
+    assert getattr(got, "variables", None) == getattr(want, "variables", None)
+
+
+@pytest.mark.parametrize("ring", ["laurent", "bivar"])
+@pytest.mark.parametrize("kind", ["monomial", "general"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), poly=laurent_polys_integral(max_degree=6))
+def test_compose_matches_dense_horner(ring, kind, data, poly):
+    inner = data.draw(_image(ring, kind))
+    _same(poly.compose(inner), naive_compose(poly, inner))
+
+
+@given(poly=laurent_polys_integral(), inner=st.integers(min_value=-3, max_value=3))
+def test_compose_with_an_int(poly, inner):
+    assert poly.compose(inner) == naive_compose(poly, inner)
+
+
+@pytest.mark.parametrize("ring", ["laurent", "bivar"])
+@pytest.mark.parametrize("kinds", [("monomial", "monomial"), ("monomial", "general"),
+                                   ("general", "monomial"), ("general", "general")])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), poly=bi_polys_integral(max_degree=4, max_terms=8))
+def test_substitute_matches_dense_horner(ring, kinds, data, poly):
+    image_a = data.draw(_image(ring, kinds[0]))
+    image_b = data.draw(_image(ring, kinds[1]))
+    _same(poly.substitute(image_a, image_b), naive_substitute(poly, image_a, image_b))
+
+
+@pytest.mark.parametrize("images", [
+    (2, BiPoly.gens()[0]), (BiPoly.gens()[0] + 1, -1), (LaurentPoly.gen("t"), 3), (3, -1),
+])
+@settings(max_examples=50)
+@given(poly=bi_polys_integral())
+def test_substitute_promotes_an_int_image_like_dense_horner(images, poly):
+    _same(poly.substitute(*images), naive_substitute(poly, *images))
+
+
+@pytest.mark.parametrize("images", [
+    (LaurentPoly.gen("t"), BiPoly.gens()[0]), (BiPoly.gens()[0], LaurentPoly.gen("t") + 1),
+])
+def test_substitute_refuses_images_from_two_rings(images):
+    for poly in (BiPoly.zero(), BiPoly({(2, 0): 1})):
+        with pytest.raises(TypeError):
+            naive_substitute(poly, *images)
+        with pytest.raises(TypeError):
+            poly.substitute(*images)
+
+
+@pytest.mark.parametrize("images", [
+    (LaurentPoly.gen("t"), LaurentPoly({-2: 1}, "t")),
+    (LaurentPoly({1: 2}, "t"), LaurentPoly({2: 1, -2: 1}, "t")),
+    BiPoly.gens(("a", "z")),
+    (BiPoly({(4, 0): 1}, ("a", "z")), BiPoly({(0, 4): 1, (0, 0): 2}, ("a", "z"))),
+])
+def test_zero_polynomial_substitutes_to_a_typed_zero(images):
+    _same(BiPoly.zero(("r", "x")).substitute(*images), naive_substitute(BiPoly.zero(), *images))
+    _same(LaurentPoly.zero().compose(images[1]), naive_compose(LaurentPoly.zero(), images[1]))
+
+
+# -- exact real evaluation ----------------------------------------------------
+
+
+def _outcome(fn):
+    """The bits of a complex result, or the type of the exception raised."""
+    try:
+        return repr(fn())
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _fraction_sum(poly, x):
+    """The previous exact path: each term in Fraction, one final rounding."""
+    base = Fraction(complex(x).real)
+    return complex(sum(c * base ** (num // 2) for num, c in poly.terms.items()))
+
+
+def _integral(max_degree, max_terms=12):
+    nums = st.integers(min_value=-max_degree, max_value=max_degree).map(lambda k: 2 * k)
+    return st.lists(st.tuples(nums, coefficients), max_size=max_terms).map(LaurentPoly)
+
+
+_dyadic = st.builds(lambda a, j: a / 2**j, st.integers(-2**30, 2**30).filter(bool),
+                    st.integers(min_value=0, max_value=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(poly=_integral(40), x=st.one_of(_dyadic, st.floats().filter(bool)))
+def test_eval_complex_is_the_rounded_exact_sum(poly, x):
+    assert _outcome(lambda: poly.eval_complex(x)) == _outcome(lambda: _fraction_sum(poly, x))
+
+
+@settings(max_examples=25, deadline=None)
+@given(poly=_integral(400),
+       x=st.floats(min_value=-2.5, max_value=2.5).filter(bool))
+def test_eval_complex_exact_at_large_degree(poly, x):
+    assert _outcome(lambda: poly.eval_complex(x)) == _outcome(lambda: _fraction_sum(poly, x))
+
+
+def test_eval_complex_exact_on_cancellation():
+    first = cheb_first_seq(300)[300]
+    for theta in (0.3, 0.7, 1.1, 2.0):
+        x = 2.0 * math.cos(theta)
+        assert repr(first.eval_complex(x)) == repr(_fraction_sum(first, x))
+    # exact zeros at negative points, with negative exponents: +0.0, never -0.0
+    for poly, x in [(LaurentPoly({}), 0.1), (LaurentPoly({2: 1, -2: -1}), -1.0),
+                    (LaurentPoly({-2: 1, 0: 2}), -0.5), (LaurentPoly({-6: 1, 0: 8}), -0.5)]:
+        assert repr(poly.eval_complex(x)) == repr(_fraction_sum(poly, x)) == repr(0j)
+
+
+# -- the rx sequence is built once per run ---------------------------------
+
+
+def test_homfly_bridge_builds_the_rx_sequence_once(monkeypatch):
+    calls = []
+    original = invariants.alexander_rx_seq
+
+    def counting(n_max, *args):
+        calls.append(n_max)
+        return original(n_max, *args)
+
+    monkeypatch.setattr(identities, "alexander_rx_seq", counting)
+    monkeypatch.setattr(invariants, "alexander_rx_seq", counting)
+    assert identities.run("homfly-bridge", 30) == (30, 30, [])
+    assert calls == [30]
+
+
+# -- recurrences against the binomial closed form -----------------------------
+
+_N = 200
+
+
+def _rx_member(n, v):
+    """r^n (V_n - r V_(n-1)) from closed-form coefficients ``v``."""
+    terms = [((2 * n, 2 * j), c) for j, c in v[n].items()]
+    terms += [((2 * n + 2, 2 * j), -c) for j, c in v[n - 1].items()]
+    return BiPoly(terms, ("r", "x"))
+
+
+def test_cheb_second_seq_matches_closed_form():
+    for n, poly in enumerate(cheb_second_seq(_N)):
+        assert poly == LaurentPoly({2 * j: c for j, c in cheb_second_closed(n).items()}, "x")
+
+
+def test_alexander_rx_matches_closed_form():
+    v = {n: cheb_second_closed(n) for n in range(-1, _N + 1)}
+    for n, poly in enumerate(alexander_rx_seq(_N)):
+        assert poly == _rx_member(n, v)
+    assert alexander_rx(_N) == _rx_member(_N, v)
+
+
+def test_homfly_rec_matches_closed_form():
+    # (y + 2)^j expanded in y = z^2, for every power a V_n term can need
+    shifted = [[1]]
+    for j in range(_N):
+        row = shifted[-1]
+        shifted.append([2 * c + (row[i - 1] if i else 0) for i, c in enumerate(row)] + [1])
+
+    def v_at_z2_plus_2(n):
+        out = [0] * (max(n, 0) + 1)
+        for j, c in cheb_second_closed(n).items():
+            for i, b in enumerate(shifted[j]):
+                out[i] += c * b
+        return out
+
+    below = v_at_z2_plus_2(-1)
+    for m, poly in enumerate(homfly_rec(_N)):
+        # H_m = A_m(a^2, z^2 + 2) = a^(2m) V_m(z^2 + 2) - a^(2m+2) V_(m-1)(z^2 + 2)
+        here = v_at_z2_plus_2(m)
+        terms = [((4 * m, 4 * i), c) for i, c in enumerate(here)]
+        terms += [((4 * m + 4, 4 * i), -c) for i, c in enumerate(below)]
+        assert poly == BiPoly(terms, ("a", "z"))
+        below = here

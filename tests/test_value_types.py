@@ -66,3 +66,28 @@ def test_radical_free_value_equals_and_hashes_as_its_prefactor():
     r, x = BiPoly.gens(("r", "x"))
     assert RadicalExpr(r, [x - 2]) != r
     assert len({RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 3])}) == 2
+
+
+@pytest.mark.parametrize("cls, term", [
+    (LaurentPoly, {"num": 2}),
+    (BiPoly, {"numA": 2, "numB": 0}),
+])
+@pytest.mark.parametrize("coeff", [
+    pytest.param(" 1_000 ", id="padded-underscore"),
+    pytest.param("1_000", id="underscore"),
+    pytest.param(" 7", id="leading-space"),
+    pytest.param("7\n", id="trailing-newline"),
+    pytest.param("١٢", id="arabic-indic-digits"),
+    pytest.param("７", id="fullwidth-digit"),
+    pytest.param("", id="empty"),
+    pytest.param("+-1", id="two-signs"),
+])
+def test_from_json_dict_rejects_non_canonical_coefficient_text(cls, term, coeff):
+    with pytest.raises(ValueError):
+        cls.from_json_dict({"den": 2, "terms": [dict(term, coeff=coeff)]})
+
+
+@pytest.mark.parametrize("text, value", [("-12", -12), ("+12", 12), ("0", 0), ("007", 7)])
+def test_from_json_dict_reads_decimal_coefficient_text(text, value):
+    assert LaurentPoly.from_json_dict({"den": 2, "terms": [{"num": 2, "coeff": text}]}) == \
+        LaurentPoly.monomial(value, 1)
