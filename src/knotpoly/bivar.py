@@ -14,78 +14,30 @@ import math
 
 from ._kernels import add_terms, bi_mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import _json_coeff, _pow_str, _sqrt_terms, _substitute, _TermPoly, _to_numerator
+from .laurent import _json_terms, _pow_str, _sqrt_terms, _substitute, _TermPoly, _to_numerator
 
 __all__ = ["BiPoly", "RadicalExpr"]
 
 
-def _uni_divexact(num, den):
-    """Exact division of univariate numerator-keyed dicts over the
-    integers; None when the division leaves a remainder."""
-    if not num:
-        return {}
-    quot = {}
-    rem = dict(num)
-    den_top = max(den)
-    den_lead = den[den_top]
-    while rem:
-        rem_top = max(rem)
-        shift = rem_top - den_top
-        if shift < 0:
-            return None
-        q, leftover = divmod(rem[rem_top], den_lead)
-        if leftover:
-            return None
-        quot[shift] = q
-        for e, c in den.items():
-            k = shift + e
-            v = rem.get(k, 0) - q * c
-            if v:
-                rem[k] = v
-            elif k in rem:
-                del rem[k]
-    return quot
-
-
 def _bi_sqrt_terms(terms):
-    """Exact square root of a bivariate numerator-keyed dict, or None.
-
-    Long division on the first variable; coefficient arithmetic happens
-    in the univariate ring of the second variable, with the recursion
-    bottoming out in integer square roots.
-    """
-    if not terms:
-        return {}
+    """Exact square root of a nonempty bivariate numerator-keyed dict,
+    normalised to a positive coefficient at its largest key; None when
+    there is none.  ``BiPoly.sqrt`` gives the packing and its bound."""
     min_a = min(na for na, _ in terms)
     min_b = min(nb for _, nb in terms)
     if min_a % 2 or min_b % 2:
         return None
-    shifted = {(na - min_a, nb - min_b): c for (na, nb), c in terms.items()}
-    top = max(na for na, _ in shifted)
-    if top % 2:
+    width = max(nb for _, nb in terms) - min_b + 1
+    root = _sqrt_terms({(na - min_a) * width + nb - min_b: c for (na, nb), c in terms.items()})
+    if root is None:
         return None
-    half = top // 2
-    lead_poly = {nb: c for (na, nb), c in shifted.items() if na == top}
-    lead_root = _sqrt_terms(lead_poly)
-    if lead_root is None:
-        return None
-    root = {(half, nb): c for nb, c in lead_root.items()}
-    rem = sub_terms(shifted, bi_mul_terms(root, root))
-    twice_lead = {nb: 2 * c for nb, c in lead_root.items()}
-    while rem:
-        k = max(na for na, _ in rem)
-        exp = k - half
-        if exp < 0 or exp >= half:
+    out = {}
+    for key, c in root.items():
+        ra, rb = divmod(key, width)
+        if 2 * rb >= width:
             return None
-        coeff_poly = {nb: c for (na, nb), c in rem.items() if na == k}
-        quot = _uni_divexact(coeff_poly, twice_lead)
-        if quot is None:
-            return None
-        tau = {(exp, nb): c for nb, c in quot.items() if c}
-        rem = sub_terms(rem, bi_mul_terms(tau, add_terms(root, root)))
-        rem = sub_terms(rem, bi_mul_terms(tau, tau))
-        root = add_terms(root, tau)
-    return {(na + min_a // 2, nb + min_b // 2): c for (na, nb), c in root.items()}
+        out[(ra + min_a // 2, rb + min_b // 2)] = c
+    return out
 
 
 def _power(base: complex, k: int) -> complex:
@@ -237,6 +189,11 @@ class BiPoly(_TermPoly):
         otherwise the largest extractable monomial square (including a
         perfect-square integer content) moves into the prefactor and
         the remainder stays under a single formal root.
+
+        Perfect squares are found by the univariate root on keys packed
+        as (a, b) -> a·W + b, W one more than the largest b.  Packing is
+        one-to-one below b-degree W, so a root with 2·b < W on every term
+        squares to the input, and a true root has 2·b <= W - 1.
         """
         if not self.terms:
             raise ValueError("the zero polynomial has no canonical square root")
@@ -297,13 +254,12 @@ class BiPoly(_TermPoly):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BiPoly":
-        if obj.get("den") != 2:
-            raise ValueError("expected an exponent denominator of 2")
-        va, vb = obj.get("variables", ("q", "p"))
-        return cls(
-            (((t["numA"], t["numB"]), _json_coeff(t["coeff"])) for t in obj["terms"]),
-            variables=(va, vb),
-        )
+        rows = _json_terms(obj, ("numA", "numB"))
+        names = obj.get("variables", ("q", "p"))
+        if not (isinstance(names, (list, tuple)) and len(names) == 2
+                and all(isinstance(v, str) for v in names)):
+            raise ValueError(f'field "variables" is not a pair of strings: {names!r}')
+        return cls((((na, nb), c) for na, nb, c in rows), variables=names)
 
     def render(self, style: str = "text", *, ascending: bool = True) -> str:
         """Text terms ordered by the first variable's exponent (ascending by

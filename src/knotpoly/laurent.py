@@ -19,6 +19,7 @@ import math
 import re
 from fractions import Fraction
 from functools import partial
+from heapq import heapify, heappop, heappush
 
 from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
@@ -54,6 +55,27 @@ def _json_coeff(coeff):
     return int(coeff)
 
 
+def _json_terms(obj, fields):
+    """The terms of a canonical JSON object, each as the tuple of its
+    ``fields`` and its coefficient.  A malformed object raises ValueError
+    naming the field; the constructor still checks the values' types."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
+    if obj.get("den") != 2:
+        raise ValueError("expected an exponent denominator of 2")
+    if not isinstance(obj.get("terms"), list):
+        raise ValueError('field "terms" is missing or not a list')
+    rows = []
+    for term in obj["terms"]:
+        if not isinstance(term, dict):
+            raise ValueError(f'an entry of "terms" is not an object: {term!r}')
+        for field in (*fields, "coeff"):
+            if field not in term:
+                raise ValueError(f'an entry of "terms" has no field "{field}": {term!r}')
+        rows.append((*(term[f] for f in fields), _json_coeff(term["coeff"])))
+    return rows
+
+
 def _pow_str(variable: str, num: int) -> str:
     """Render variable**(num/2); bare name for exponent one, parens for
     negative or fractional exponents."""
@@ -72,47 +94,46 @@ def _sqrt_terms(terms):
     positive leading coefficient; None when no root with integer
     coefficients exists on the half-exponent lattice.
 
-    Long division on the dense coefficient list, from the top down.
+    Long division from the top down, on a dict remainder with a heap of
+    its keys and a list of the nonzero root terms: a step costs one update
+    per root term, whatever the gaps between exponents.  ``BiPoly.sqrt``
+    calls it on packed keys and bounds the unpacked root's degree, as a
+    root whose square carries between the packed fields is no root.
     """
     if not terms:
         return {}
-    lo = min(terms)
-    deg = max(terms) - lo
-    if lo % 2 or deg % 2:
+    lo, hi = min(terms), max(terms)
+    lead = terms[hi]
+    root_lead = math.isqrt(max(lead, 0))
+    if lo % 2 or hi % 2 or root_lead * root_lead != lead:
         return None
-    rem = [0] * (deg + 1)
-    for num, coeff in terms.items():
-        rem[num - lo] = coeff
-    half = deg // 2
-    lead = rem[deg]
-    if lead < 0:
-        return None
-    root_lead = math.isqrt(lead)
-    if root_lead * root_lead != lead:
-        return None
-    root = [0] * (half + 1)
-    root[half] = root_lead
-    rem[deg] = 0
-    twice = 2 * root_lead
-    top = deg - 1
-    while True:
-        while top >= 0 and rem[top] == 0:
-            top -= 1
-        if top < 0:
-            shift = lo // 2
-            return {shift + j: c for j, c in enumerate(root) if c}
+    half, twice = hi // 2, 2 * root_lead
+    rem = dict(terms)
+    heap = [-k for k in rem if k != hi]
+    heapify(heap)
+    root = [(half, root_lead)]
+    while heap:
+        top = -heappop(heap)
+        if not rem[top]:
+            continue
         exp = top - half
-        if exp < 0:
-            return None
         q, leftover = divmod(rem[top], twice)
-        if leftover:
+        if leftover or 2 * exp < lo:
             return None
-        # rem -= 2*q*s^exp*root + (q*s^exp)^2; root[exp] is still zero here
-        for j, rc in enumerate(root):
-            if rc:
-                rem[exp + j] -= 2 * q * rc
-        rem[2 * exp] -= q * q
-        root[exp] = q
+        # rem -= q*s^exp * (2*root + q*s^exp): with (exp, q) appended, the
+        # loop takes 2*q^2 at 2*exp and one q^2 goes back; the root's lead
+        # clears rem[top], and every other key lies below top
+        root.append((exp, q))
+        tq = 2 * q
+        for j, c in root:
+            k = exp + j
+            v = rem.get(k)
+            if v is None:
+                heappush(heap, -k)
+                v = 0
+            rem[k] = v - tq * c
+        rem[2 * exp] += q * q
+    return dict(root)
 
 
 def _substitute(source, images):
@@ -531,12 +552,11 @@ class LaurentPoly(_TermPoly):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LaurentPoly":
-        if obj.get("den") != 2:
-            raise ValueError("expected an exponent denominator of 2")
-        return cls(
-            ((t["num"], _json_coeff(t["coeff"])) for t in obj["terms"]),
-            variable=obj.get("variable", "t"),
-        )
+        rows = _json_terms(obj, ("num",))
+        variable = obj.get("variable", "t")
+        if not isinstance(variable, str):
+            raise ValueError(f'field "variable" is not a string: {variable!r}')
+        return cls(rows, variable=variable)
 
     def render(self, style: str = "text") -> str:
         """Terms in descending exponent order with explicit signs, or the

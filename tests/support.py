@@ -10,13 +10,21 @@ from knotpoly import BiPoly, LaurentPoly
 
 coefficients = st.integers(min_value=-99, max_value=99)
 half_numerators = st.integers(min_value=-20, max_value=20)
+wide_coefficients = st.integers(min_value=-(2**64), max_value=2**64)
 
 
-def laurent_polys(max_terms=12, nonzero=False):
-    base = st.lists(
-        st.tuples(half_numerators, coefficients),
-        min_size=1 if nonzero else 0,
-        max_size=max_terms,
+def laurent_polys(max_terms=12, nonzero=False, strides=(1,), coeffs=coefficients):
+    """Numerators on one lattice k·stride + offset, with k in -20..20, the
+    stride drawn from ``strides`` and the offset below it."""
+    lattices = st.sampled_from(strides).flatmap(
+        lambda stride: st.tuples(st.just(stride), st.integers(min_value=0, max_value=stride - 1))
+    )
+    base = lattices.flatmap(
+        lambda lattice: st.lists(
+            st.tuples(half_numerators.map(lambda k: k * lattice[0] + lattice[1]), coeffs),
+            min_size=1 if nonzero else 0,
+            max_size=max_terms,
+        )
     ).map(LaurentPoly)
     if nonzero:
         return base.filter(lambda p: not p.is_zero)

@@ -1,9 +1,11 @@
 """The algorithm layer against naive references and closed forms: sparse
 substitution against dense Horner, integer-Horner evaluation against the
-exact Fraction sum, and the recurrence-built families against the binomial
-closed form of the Chebyshev polynomials."""
+exact Fraction sum, the recurrence-built families against the binomial
+closed form of the Chebyshev polynomials, and the square roots' memory
+against their term counts."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +32,28 @@ from support import (
     naive_compose,
     naive_substitute,
 )
+
+# -- square roots -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("root", [
+    pytest.param(LaurentPoly({0: 1, 10**6: 3}), id="laurent"),
+    pytest.param(BiPoly({(0, 0): 1, (1000, 1000): 3}), id="bivar-packed"),
+])
+def test_sqrt_memory_follows_the_terms_not_the_exponent_gaps(root):
+    # a dense remainder holds a slot per exponent from the lowest to the
+    # highest: 2·10^6 of them here, and 4·10^6 for the packed bivariate keys
+    square = root * root
+    tracemalloc.start()
+    try:
+        result = (square.sqrt_perfect() if isinstance(square, LaurentPoly)
+                  else square.sqrt().as_polynomial())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == root
+    assert peak < 1 << 20
+
 
 # -- sparse substitution ----------------------------------------------------
 

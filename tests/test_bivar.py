@@ -117,6 +117,16 @@ class TestSqrt:
         for f in (r * x - 2 * r, -q, 3 * q * p + p, a**3 + a, q * q - p):
             assert f.sqrt().square() == f
 
+    def test_packed_root_with_carry_is_no_root(self):
+        # 1 + 2p + q^(1/2)p^(1/2) packs (W = 3) to (1 + u^2)^2; that root
+        # unpacks to 1 + p, whose p-degree is too high and whose square
+        # is not the input
+        f = BiPoly({(0, 0): 1, (0, 2): 2, (1, 1): 1})
+        result = f.sqrt()
+        assert result.prefactor == 1
+        assert result.radicands == [f]
+        assert result.square() == f
+
 
 class TestRadicalExpr:
     def test_constructor_simplifies_square_radicand(self):
@@ -245,6 +255,12 @@ class TestProperties:
         for rad in expr.radicands:
             # radicand entries are never perfect squares
             assert rad.sqrt().radicands
+
+    @given(g=bi_polys(nonzero=True))
+    def test_sqrt_finds_perfect_squares(self, g):
+        expr = (g * g).sqrt()
+        assert not expr.radicands
+        assert expr.prefactor == (g if g.terms[max(g.terms)] > 0 else -g)
 
     @given(f=bi_polys_integral(max_degree=3, max_terms=5, max_coeff=9))
     def test_substitution_numeric_consistency(self, f):

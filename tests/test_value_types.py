@@ -91,3 +91,38 @@ def test_from_json_dict_rejects_non_canonical_coefficient_text(cls, term, coeff)
 def test_from_json_dict_reads_decimal_coefficient_text(text, value):
     assert LaurentPoly.from_json_dict({"den": 2, "terms": [{"num": 2, "coeff": text}]}) == \
         LaurentPoly.monomial(value, 1)
+
+
+_UNI = {"den": 2, "terms": [{"num": 2, "coeff": "1"}]}
+_BI = {"den": 2, "terms": [{"numA": 2, "numB": 0, "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("cls, obj, field", [
+    pytest.param(LaurentPoly, dict(_UNI, variable=7), "variable", id="laurent-int-variable"),
+    pytest.param(BiPoly, dict(_BI, variables=[1, 2]), "variables", id="bivar-int-variables"),
+    pytest.param(BiPoly, dict(_BI, variables=["q", 2]), "variables", id="bivar-one-int-variable"),
+    pytest.param(LaurentPoly, {"den": 2}, "terms", id="laurent-no-terms"),
+    pytest.param(BiPoly, {"den": 2}, "terms", id="bivar-no-terms"),
+    pytest.param(LaurentPoly, {"den": 2, "terms": 5}, "terms", id="laurent-int-terms"),
+    pytest.param(BiPoly, {"den": 2, "terms": {"numA": 2}}, "terms", id="bivar-object-terms"),
+    pytest.param(LaurentPoly, {"den": 2, "terms": [5]}, "terms", id="laurent-int-entry"),
+    pytest.param(BiPoly, {"den": 2, "terms": [[2, 0, "1"]]}, "terms", id="bivar-list-entry"),
+    pytest.param(LaurentPoly, {"den": 2, "terms": [{"coeff": "1"}]}, "num", id="laurent-no-num"),
+    pytest.param(LaurentPoly, {"den": 2, "terms": [{"num": 2}]}, "coeff", id="laurent-no-coeff"),
+    pytest.param(BiPoly, {"den": 2, "terms": [{"numB": 0, "coeff": "1"}]}, "numA",
+                 id="bivar-no-numA"),
+    pytest.param(BiPoly, {"den": 2, "terms": [{"numA": 2, "coeff": "1"}]}, "numB",
+                 id="bivar-no-numB"),
+    pytest.param(BiPoly, {"den": 2, "terms": [{"numA": 2, "numB": 0}]}, "coeff",
+                 id="bivar-no-coeff"),
+])
+def test_from_json_dict_names_the_malformed_field(cls, obj, field):
+    with pytest.raises(ValueError, match=f'"{field}"'):
+        cls.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
+@pytest.mark.parametrize("obj", [[], None, "terms"])
+def test_from_json_dict_rejects_non_object(cls, obj):
+    with pytest.raises(ValueError, match="JSON object"):
+        cls.from_json_dict(obj)
