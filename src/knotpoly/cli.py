@@ -138,6 +138,7 @@ def _cmd_skein_derive(args):
     c2 = BiPoly._make(variables, dict(c2_terms))
     coeffs = derive_skein(c1, c2)
     back = compose_skein(coeffs.b1, coeffs.b2)
+    roundtrip_ok = back == (c1, c2)
     if args.format == "json":
         print(
             json.dumps(
@@ -147,7 +148,7 @@ def _cmd_skein_derive(args):
                     "c2": c2.to_json_dict(),
                     "b1": coeffs.b1.to_json_dict(),
                     "b2": coeffs.b2.to_json_dict(),
-                    "roundtrip_ok": back == (c1, c2),
+                    "roundtrip_ok": roundtrip_ok,
                 }
             )
         )
@@ -156,7 +157,12 @@ def _cmd_skein_derive(args):
         print(f"c2 = {c2.render(ascending=ascending)}")
         print(f"b1 = {coeffs.b1.render(ascending=ascending)}")
         print(f"b2 = {coeffs.b2.render(ascending=ascending)}")
-    return 0
+    if roundtrip_ok:
+        return 0
+    back_c1, back_c2 = (c.render(ascending=ascending) for c in back)
+    print(f"FAIL round trip: compose_skein(b1, b2) gives c1 = {back_c1}, c2 = {back_c2}",
+          file=sys.stderr)
+    return 1
 
 
 def _cmd_verify(args):

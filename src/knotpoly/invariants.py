@@ -266,61 +266,45 @@ class SkeinReport:
         return f"{good}/{len(self.checks)} triples satisfy the skein relation"
 
 
-_DEFAULT_SAMPLES = ((0.6, 2.7), (1.3, 3.5), (2.2, 5.1))
-
-
-def verify_skein(sequence, b1, b2, samples=None, tol: float = 1e-9) -> SkeinReport:
-    """Check P_{n+1} - b1 P_n - b2 P_{n-1} = 0 over every consecutive triple.
+def verify_skein(sequence, b1, b2) -> SkeinReport:
+    """Check P_{n+1} - b1 P_n - b2 P_{n-1} = 0 exactly over every
+    consecutive triple.
 
     ``b1`` may be a polynomial (LaurentPoly or BiPoly, matching the
-    sequence) or a RadicalExpr; ``b2`` a polynomial or int.  When b1
-    carries unresolved radical factors the check falls back to numeric
-    sampling of bivariate sequences; the default sample points keep the
-    first variable positive and the second above 2 so the standard
-    radicands stay positive.  Failures are recorded in the report, never
-    raised.
+    sequence) or a RadicalExpr; ``b2`` a polynomial or int.  A radical b1
+    is split over the product D of its radicands: D.sqrt() gives
+    b1 = c·sqrt(D') with D' either absent, when b1 is a polynomial, or
+    not a square.  The sequence's ring is integrally closed, so a D' that
+    is no square there is none in its fraction field either, and 1 and
+    sqrt(D') are independent over that field.  The residue
+    (P_{n+1} - b2 P_{n-1}) - c P_n sqrt(D') therefore vanishes exactly
+    when both of its parts do.  Failures are recorded in the report,
+    never raised.
     """
     sequence = list(sequence)
     if len(sequence) < 3:
         raise ValueError("need at least three sequence entries")
-    b1_poly = b1
-    numeric = False
+    radicand = None
     if isinstance(b1, RadicalExpr):
-        if b1.radicands:
-            numeric = True
-        else:
-            b1_poly = b1.prefactor
+        b1, radicands = b1.prefactor, b1.radicands
+        if radicands:
+            merged = radicands[0]
+            for rad in radicands[1:]:
+                merged = merged * rad
+            split = merged.sqrt()
+            b1 = b1 * split.prefactor
+            radicand = split.radicands[0] if split.radicands else None
     checks = []
-    if not numeric:
-        for i in range(2, len(sequence)):
-            residue = sequence[i] - b1_poly * sequence[i - 1] - b2 * sequence[i - 2]
-            checks.append(
-                TripleCheck(
-                    index=i,
-                    ok=residue.is_zero,
-                    mode="symbolic",
-                    detail="" if residue.is_zero else f"residue {residue}",
-                )
-            )
-        return SkeinReport(checks)
-
-    if not isinstance(sequence[0], BiPoly):
-        raise TypeError("numeric skein verification expects a bivariate sequence")
-    points = tuple(samples) if samples is not None else _DEFAULT_SAMPLES
-    b2_eval = (lambda pt: complex(b2)) if isinstance(b2, int) else b2.eval_complex
     for i in range(2, len(sequence)):
-        worst = 0.0
-        ok = True
-        for pt in points:
-            high = sequence[i].eval_complex(pt)
-            mid = b1.eval_complex(pt) * sequence[i - 1].eval_complex(pt)
-            low = b2_eval(pt) * sequence[i - 2].eval_complex(pt)
-            scale = max(1.0, abs(high), abs(mid), abs(low))
-            err = abs(high - mid - low) / scale
-            worst = max(worst, err)
-            if err > tol:
-                ok = False
-        checks.append(
-            TripleCheck(index=i, ok=ok, mode="numeric", detail=f"max rel err {worst:.3e}")
-        )
+        if radicand is None:
+            residue = sequence[i] - b1 * sequence[i - 1] - b2 * sequence[i - 2]
+            ok = residue.is_zero
+            detail = "" if ok else f"residue {residue}"
+        else:
+            rational = sequence[i] - b2 * sequence[i - 2]
+            radical = b1 * sequence[i - 1]
+            ok = rational.is_zero and radical.is_zero
+            detail = "" if ok else (f"residue {rational} - ({radical})"
+                                    f" * sqrt({radicand.render(ascending=False)})")
+        checks.append(TripleCheck(index=i, ok=ok, mode="symbolic", detail=detail))
     return SkeinReport(checks)

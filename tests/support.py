@@ -15,17 +15,22 @@ wide_coefficients = st.integers(min_value=-(2**64), max_value=2**64)
 
 def laurent_polys(max_terms=12, nonzero=False, strides=(1,), coeffs=coefficients):
     """Numerators on one lattice k·stride + offset, with k in -20..20, the
-    stride drawn from ``strides`` and the offset below it."""
-    lattices = st.sampled_from(strides).flatmap(
-        lambda stride: st.tuples(st.just(stride), st.integers(min_value=0, max_value=stride - 1))
-    )
-    base = lattices.flatmap(
-        lambda lattice: st.lists(
-            st.tuples(half_numerators.map(lambda k: k * lattice[0] + lattice[1]), coeffs),
-            min_size=1 if nonzero else 0,
-            max_size=max_terms,
+    stride drawn from ``strides`` and the offset below it.  For the default
+    stride 1 the term list is drawn directly: the same distribution, at
+    about half the drawing cost."""
+    size = {"min_size": 1 if nonzero else 0, "max_size": max_terms}
+    if strides == (1,):
+        base = st.lists(st.tuples(half_numerators, coeffs), **size)
+    else:
+        lattices = st.sampled_from(strides).flatmap(
+            lambda stride: st.tuples(st.just(stride), st.integers(min_value=0, max_value=stride - 1))
         )
-    ).map(LaurentPoly)
+        base = lattices.flatmap(
+            lambda lattice: st.lists(
+                st.tuples(half_numerators.map(lambda k: k * lattice[0] + lattice[1]), coeffs), **size
+            )
+        )
+    base = base.map(LaurentPoly)
     if nonzero:
         return base.filter(lambda p: not p.is_zero)
     return base

@@ -172,6 +172,22 @@ class TestSkeinDerive:
         assert b2.terms == {(4, 0): 1}
 
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failed_round_trip_exits_1(self, capsys, monkeypatch, fmt):
+        compose = cli.compose_skein
+
+        def perturbed(b1, b2):
+            c1, c2 = compose(b1, b2)
+            return c1 + 1, c2
+
+        monkeypatch.setattr(cli, "compose_skein", perturbed)
+        code, out, err = run_cli(capsys, "skein-derive", "--family", "az", "--format", fmt)
+        assert code == 1
+        assert err == "FAIL round trip: compose_skein(b1, b2) gives c1 = 1 + 2a^2 + a^2z^2, c2 = -a^4\n"
+        if fmt == "json":
+            assert json.loads(out)["roundtrip_ok"] is False
+
+
 class TestJsonPolynomials:
     def test_alexander_json_round_trip_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "alexander", "--s", "6", "--format", "json")

@@ -6,6 +6,7 @@ from knotpoly import (
     BiPoly,
     LaurentPoly,
     RadicalExpr,
+    TripleCheck,
     alexander_rx,
     alexander_unified_rec,
     compose_skein,
@@ -133,29 +134,48 @@ class TestVerify:
         assert not report.all_ok
         assert not report.checks[0].ok
 
-    def test_radical_coefficient_selects_numeric_mode(self):
+    def test_radical_stepwise_pair_fails_symbolically(self):
         seq = [alexander_rx(n) for n in range(8)]
         coeffs = derive_skein(*RX)
         report = verify_skein(seq, coeffs.b1, coeffs.b2)
-        assert all(c.mode == "numeric" for c in report.checks)
-        # stepwise coefficients cannot hold on the knot-only list, and the
-        # sampler must detect that rather than wave it through
+        assert len(report.checks) == 6
+        assert all(c.mode == "symbolic" for c in report.checks)
+        # stepwise coefficients cannot hold on the knot-only list
         assert not any(c.ok for c in report.checks)
 
-    def test_numeric_mode_accepts_true_relation(self):
-        # at (r, x) = (1, 3) the radical coefficient evaluates to 1, so the
-        # sequence 1, 1, 2 satisfies the relation at that sample point
+    @pytest.mark.parametrize("third, detail", [
+        # at (r, x) = (1, 3) b1 evaluates to 1, so 1, 1, 2 holds at that
+        # point; exactly it does not
+        (2, "residue 2 - r - (r^(1/2)) * sqrt(x - 2)"),
+        # r - r * 1 = 0 leaves only the radical part b1 * P_1
+        (r, "residue 0 - (r^(1/2)) * sqrt(x - 2)"),
+    ], ids=["1-1-2", "1-1-r"])
+    def test_radical_b1_rejects_false_relation(self, third, detail):
         b1 = (r * x - 2 * r).sqrt()
-        seq = [BiPoly.one(("r", "x")), BiPoly.one(("r", "x")), BiPoly.constant(2, ("r", "x"))]
-        report = verify_skein(seq, b1, r, samples=[(1.0, 3.0)])
+        one = BiPoly.one(("r", "x"))
+        report = verify_skein([one, one, third * one], b1, r)
+        assert report.checks == [TripleCheck(2, False, "symbolic", detail)]
+
+    def test_radical_b1_accepts_true_relation(self):
+        # r = b1 * 0 + r * 1: P_1 = 0 clears the radical part
+        b1 = (r * x - 2 * r).sqrt()
+        seq = [BiPoly.one(("r", "x")), BiPoly.zero(("r", "x")), r]
+        report = verify_skein(seq, b1, r)
         assert report.all_ok
-        assert report.checks[0].mode == "numeric"
+        assert report.checks[0].mode == "symbolic"
+
+    def test_radical_b1_with_square_radicand_product(self):
+        # sqrt(x + 1) * sqrt(x + 1) = x + 1, so b1 is the polynomial x + 1
+        b1 = RadicalExpr(BiPoly.one(("r", "x")), [x + 1, x + 1])
+        assert len(b1.radicands) == 2
+        report = verify_skein([BiPoly.one(("r", "x")), x, x**2 + x + 1], b1, 1)
+        assert report.all_ok
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError):
             verify_skein([BiPoly.one(), BiPoly.one()], a * z, a**2)
 
-    def test_numeric_mode_needs_bivariate_entries(self):
+    def test_bivariate_radical_b1_with_univariate_sequence_raises(self):
         seq = alexander_unified_rec(5)
         radical = (x - 2).sqrt()
         with pytest.raises(TypeError):
