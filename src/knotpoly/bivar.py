@@ -14,7 +14,8 @@ import math
 
 from ._kernels import add_terms, bi_mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import _json_terms, _pow_str, _sqrt_terms, _substitute, _TermPoly, _to_numerator
+from .laurent import (_check_names, _json_terms, _pow_str, _sqrt_terms, _substitute, _TermPoly,
+                      _to_numerator)
 
 __all__ = ["BiPoly", "RadicalExpr"]
 
@@ -56,8 +57,7 @@ class BiPoly(_TermPoly):
     _UNIT = (0, 0)
 
     def __init__(self, terms=(), variables=("q", "p")):
-        va, vb = variables
-        self.variables = (va, vb)
+        self.variables = _check_names(variables, 2)
         self.terms = self._canonical(terms)
 
     @staticmethod
@@ -90,13 +90,13 @@ class BiPoly(_TermPoly):
 
     @classmethod
     def zero(cls, variables=("q", "p")) -> "BiPoly":
-        return cls._make(tuple(variables), {})
+        return cls._make(_check_names(variables, 2), {})
 
     @classmethod
     def constant(cls, value: int, variables=("q", "p")) -> "BiPoly":
         if type(value) is not int:
             raise TypeError(f"coefficient {value!r} is not an int")
-        return cls._make(tuple(variables), {(0, 0): value} if value else {})
+        return cls._make(_check_names(variables, 2), {(0, 0): value} if value else {})
 
     @classmethod
     def one(cls, variables=("q", "p")) -> "BiPoly":
@@ -105,7 +105,7 @@ class BiPoly(_TermPoly):
     @classmethod
     def gens(cls, variables=("q", "p")) -> tuple["BiPoly", "BiPoly"]:
         """The two coordinate polynomials."""
-        variables = tuple(variables)
+        variables = _check_names(variables, 2)
         return (
             cls._make(variables, {(2, 0): 1}),
             cls._make(variables, {(0, 2): 1}),
@@ -116,8 +116,8 @@ class BiPoly(_TermPoly):
     def _coerce(self, other):
         if isinstance(other, BiPoly):
             return other
-        if isinstance(other, int):
-            return BiPoly.constant(other, self.variables)
+        if type(other) is int:
+            return BiPoly._make(self.variables, {(0, 0): other} if other else {})
         return None
 
     def __add__(self, other):
@@ -144,7 +144,7 @@ class BiPoly(_TermPoly):
         return BiPoly._make(self.variables, neg_terms(self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return BiPoly._make(self.variables, scale_terms(self.terms, other))
         if not isinstance(other, BiPoly):
             return NotImplemented
@@ -153,15 +153,14 @@ class BiPoly(_TermPoly):
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         return BiPoly._make(self.variables, self._pow_terms(k, bi_mul_terms))
 
     # -- transforms --------------------------------------------------
 
     def rename(self, variables) -> "BiPoly":
-        va, vb = variables
-        return BiPoly._make((va, vb), dict(self.terms))
+        return BiPoly._make(_check_names(variables, 2), dict(self.terms))
 
     def substitute(self, image_a, image_b):
         """Replace the first/second variable by the given images.
@@ -256,9 +255,6 @@ class BiPoly(_TermPoly):
     def from_json_dict(cls, obj: dict) -> "BiPoly":
         rows = _json_terms(obj, ("numA", "numB"))
         names = obj.get("variables", ("q", "p"))
-        if not (isinstance(names, (list, tuple)) and len(names) == 2
-                and all(isinstance(v, str) for v in names)):
-            raise ValueError(f'field "variables" is not a pair of strings: {names!r}')
         return cls((((na, nb), c) for na, nb, c in rows), variables=names)
 
     def render(self, style: str = "text", *, ascending: bool = True) -> str:

@@ -10,8 +10,8 @@ requires.
 from __future__ import annotations
 
 from .bivar import BiPoly
-from .laurent import LaurentPoly
-from .qnumbers import _check_index, qpnum_closed
+from .laurent import LaurentPoly, _check_names
+from .qnumbers import _check_index, _three_term, qpnum_closed
 
 __all__ = [
     "cheb_first",
@@ -27,10 +27,7 @@ def cheb_first_seq(n_max: int, variable: str = "x") -> list[LaurentPoly]:
     """T_0..T_n from T_0 = 2, T_1 = x, T_{k+1} = x T_k - T_{k-1}."""
     _check_index(n_max)
     x = LaurentPoly.gen(variable)
-    seq = [LaurentPoly.constant(2, variable), x]
-    while len(seq) <= n_max:
-        seq.append(x * seq[-1] - seq[-2])
-    return seq[: n_max + 1]
+    return _three_term((LaurentPoly.constant(2, variable), x), x, -1, n_max + 1)
 
 
 def cheb_first(n: int, variable: str = "x") -> LaurentPoly:
@@ -41,10 +38,7 @@ def cheb_second_seq(n_max: int, variable: str = "x") -> list[LaurentPoly]:
     """V_0..V_n from V_0 = 1, V_1 = x, V_{k+1} = x V_k - V_{k-1}."""
     _check_index(n_max)
     x = LaurentPoly.gen(variable)
-    seq = [LaurentPoly.one(variable), x]
-    while len(seq) <= n_max:
-        seq.append(x * seq[-1] - seq[-2])
-    return seq[: n_max + 1]
+    return _three_term((LaurentPoly.one(variable), x), x, -1, n_max + 1)
 
 
 def cheb_second(n: int, variable: str = "x") -> LaurentPoly:
@@ -59,5 +53,6 @@ def cheb_second_qp(n: int, variables=("q", "p")) -> BiPoly:
 def cheb_second_rx(n: int, variables=("r", "x")) -> BiPoly:
     """Second kind with the scale variable factored out: r^n V_n(x)."""
     _check_index(n)
+    variables = _check_names(variables, 2)
     vn = cheb_second(n)
-    return BiPoly._make(tuple(variables), {(2 * n, num): c for num, c in vn.terms.items()})
+    return BiPoly._make(variables, {(2 * n, num): c for num, c in vn.terms.items()})

@@ -15,6 +15,9 @@ from . import identities
 from .bivar import BiPoly
 from .chebyshev import cheb_first, cheb_first_seq, cheb_second, cheb_second_seq
 from .invariants import (
+    _HOMFLY_REC,
+    _KNOT_REC,
+    _RX_REC,
     alexander_closed,
     alexander_unified_rec,
     compose_skein,
@@ -110,32 +113,21 @@ def _cmd_chebyshev(args):
     return _emit_poly(args, poly)
 
 
+# each family: the (c1, c2) of a builder's recurrence, as BiPoly values,
+# and the text order; the knot members' pair is lifted into (t, u)
 _SKEIN_FAMILIES = {
     "classical": (
-        ("t", "u"),
-        {(2, 0): 1, (-2, 0): 1},  # t + 1/t
-        {(0, 0): -1},
+        BiPoly._make(("t", "u"), {(num, 0): c for num, c in _KNOT_REC[0].terms.items()}),
+        BiPoly.constant(_KNOT_REC[1], ("t", "u")),
         False,
     ),
-    "rx": (
-        ("r", "x"),
-        {(2, 2): 1},  # rx
-        {(4, 0): -1},
-        True,
-    ),
-    "az": (
-        ("a", "z"),
-        {(4, 4): 1, (4, 0): 2},  # a^2 z^2 + 2 a^2
-        {(8, 0): -1},
-        True,
-    ),
+    "rx": (*_RX_REC, True),
+    "az": (*_HOMFLY_REC, True),
 }
 
 
 def _cmd_skein_derive(args):
-    variables, c1_terms, c2_terms, ascending = _SKEIN_FAMILIES[args.family]
-    c1 = BiPoly._make(variables, dict(c1_terms))
-    c2 = BiPoly._make(variables, dict(c2_terms))
+    c1, c2, ascending = _SKEIN_FAMILIES[args.family]
     coeffs = derive_skein(c1, c2)
     back = compose_skein(coeffs.b1, coeffs.b2)
     roundtrip_ok = back == (c1, c2)

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .bivar import BiPoly, RadicalExpr
 from .errors import NonPolynomialB2
-from .laurent import LaurentPoly
-from .qnumbers import _check_index, qnum_closed, qpnum_closed
+from .laurent import LaurentPoly, _check_names
+from .qnumbers import _check_index, _three_term, qnum_closed, qpnum_closed
 
 __all__ = [
     "TorusIndex",
@@ -77,6 +77,20 @@ def _as_s(index) -> int:
     return TorusIndex(index).s
 
 
+# The coefficients (c1, c2) of P_(k+1) = c1 P_k + c2 P_(k-1) for the knot
+# members, the (r,x) form and HOMFLY; ``skein-derive`` derives its
+# families' skein coefficients from these same pairs.
+_KNOT_REC = (LaurentPoly._make("t", {2: 1, -2: 1}), -1)  # t + 1/t, -1
+_RX_REC = (
+    BiPoly._make(("r", "x"), {(2, 2): 1}),  # rx
+    BiPoly._make(("r", "x"), {(4, 0): -1}),  # -r^2
+)
+_HOMFLY_REC = (
+    BiPoly._make(("a", "z"), {(4, 4): 1, (4, 0): 2}),  # a^2 z^2 + 2a^2
+    BiPoly._make(("a", "z"), {(8, 0): -1}),  # -a^4
+)
+
+
 # -- Alexander family ----------------------------------------------------
 
 
@@ -96,24 +110,16 @@ def alexander_unified_rec(s_max: int) -> list[LaurentPoly]:
     t^(1/2) - t^(-1/2) (Hopf link), and each step adds
     (t^(1/2) - t^(-1/2)) times the previous member to the one before it.
     """
-    if _as_s(s_max) < 1:
-        raise ValueError("s_max must be at least 1")
     step = LaurentPoly._make("t", {1: 1, -1: -1})
-    seq = [LaurentPoly.one("t"), step]
-    while len(seq) < s_max:
-        seq.append(step * seq[-1] + seq[-2])
-    return seq[:s_max]
+    return _three_term((LaurentPoly.one("t"), step), step, 1, _as_s(s_max))
 
 
 def alexander_knot_rec(m_max: int) -> list[LaurentPoly]:
     """Knot members only, indexed by degree m = 0..m_max, built by
     A_{m+1} = (t + 1/t) A_m - A_{m-1} from A_0 = 1, A_1 = t - 1 + 1/t."""
     _check_index(m_max)
-    step = LaurentPoly._make("t", {2: 1, -2: 1})
-    seq = [LaurentPoly.one("t"), LaurentPoly._make("t", {2: 1, 0: -1, -2: 1})]
-    while len(seq) <= m_max:
-        seq.append(step * seq[-1] - seq[-2])
-    return seq[: m_max + 1]
+    seeds = (LaurentPoly.one("t"), LaurentPoly._make("t", {2: 1, 0: -1, -2: 1}))
+    return _three_term(seeds, *_KNOT_REC, m_max + 1)
 
 
 def alexander_from_qnum(m: int) -> LaurentPoly:
@@ -129,7 +135,7 @@ def alexander_qp(n: int, variables=("q", "p")) -> BiPoly:
     q -> t, p -> 1/t.
     """
     _check_index(n)
-    variables = tuple(variables)
+    variables = _check_names(variables, 2)
     qp = BiPoly._make(variables, {(2, 2): 1})
     return qpnum_closed(n + 1, variables) - qp * qpnum_closed(n, variables)
 
@@ -139,16 +145,10 @@ def alexander_rx_seq(n_max: int, variables=("r", "x")) -> list[BiPoly]:
     the recursion A_{k+1} = rx A_k - r^2 A_{k-1} from A_0 = 1,
     A_1 = rx - r^2."""
     _check_index(n_max)
-    variables = tuple(variables)
-    seq = [
-        BiPoly.one(variables),
-        BiPoly._make(variables, {(2, 2): 1, (4, 0): -1}),
-    ]
-    rx = BiPoly._make(variables, {(2, 2): 1})
-    r2 = BiPoly._make(variables, {(4, 0): 1})
-    while len(seq) <= n_max:
-        seq.append(rx * seq[-1] - r2 * seq[-2])
-    return seq[: n_max + 1]
+    variables = _check_names(variables, 2)
+    seeds = (BiPoly.one(variables), BiPoly._make(variables, {(2, 2): 1, (4, 0): -1}))
+    c1, c2 = (c.rename(variables) for c in _RX_REC)
+    return _three_term(seeds, c1, c2, n_max + 1)
 
 
 def alexander_rx(n: int, variables=("r", "x")) -> BiPoly:
@@ -164,16 +164,8 @@ def homfly_rec(m_max: int) -> list[BiPoly]:
     built by H_{m+1} = a^2 (z^2 + 2) H_m - a^4 H_{m-1} from H_0 = 1,
     H_1 = 2a^2 + a^2 z^2 - a^4."""
     _check_index(m_max)
-    variables = ("a", "z")
-    seq = [
-        BiPoly.one(variables),
-        BiPoly._make(variables, {(4, 0): 2, (4, 4): 1, (8, 0): -1}),
-    ]
-    step = BiPoly._make(variables, {(4, 4): 1, (4, 0): 2})
-    a4 = BiPoly._make(variables, {(8, 0): 1})
-    while len(seq) <= m_max:
-        seq.append(step * seq[-1] - a4 * seq[-2])
-    return seq[: m_max + 1]
+    h1 = BiPoly._make(("a", "z"), {(4, 0): 2, (4, 4): 1, (8, 0): -1})
+    return _three_term((BiPoly.one(("a", "z")), h1), *_HOMFLY_REC, m_max + 1)
 
 
 # the substitution r = a^2, x = z^2 + 2 from the (r,x) form to HOMFLY

@@ -41,6 +41,19 @@ def _to_numerator(exponent) -> int:
     raise ValueError(f"exponent {exponent!r} is not on the half-integer lattice")
 
 
+def _check_names(names, arity: int):
+    """Variable names given by a caller: one str for ``arity`` 1, or a
+    list or tuple of two strs for ``arity`` 2, returned as a tuple."""
+    if arity == 1:
+        if not isinstance(names, str):
+            raise ValueError(f'field "variable" is not a string: {names!r}')
+        return names
+    if not (isinstance(names, (list, tuple)) and len(names) == 2
+            and all(isinstance(v, str) for v in names)):
+        raise ValueError(f'field "variables" is not a pair of strings: {names!r}')
+    return tuple(names)
+
+
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
@@ -348,7 +361,7 @@ class LaurentPoly(_TermPoly):
     _UNIT = 0
 
     def __init__(self, terms=(), variable: str = "t"):
-        self.variable = variable
+        self.variable = _check_names(variable, 1)
         self.terms = self._canonical(terms)
 
     @staticmethod
@@ -378,13 +391,13 @@ class LaurentPoly(_TermPoly):
 
     @classmethod
     def zero(cls, variable: str = "t") -> "LaurentPoly":
-        return cls._make(variable, {})
+        return cls._make(_check_names(variable, 1), {})
 
     @classmethod
     def constant(cls, value: int, variable: str = "t") -> "LaurentPoly":
         if type(value) is not int:
             raise TypeError(f"coefficient {value!r} is not an int")
-        return cls._make(variable, {0: value} if value else {})
+        return cls._make(_check_names(variable, 1), {0: value} if value else {})
 
     @classmethod
     def one(cls, variable: str = "t") -> "LaurentPoly":
@@ -393,26 +406,27 @@ class LaurentPoly(_TermPoly):
     @classmethod
     def gen(cls, variable: str = "t") -> "LaurentPoly":
         """The variable itself."""
-        return cls._make(variable, {2: 1})
+        return cls._make(_check_names(variable, 1), {2: 1})
 
     @classmethod
     def gen_sqrt(cls, variable: str = "t") -> "LaurentPoly":
         """The square root of the variable (exponent one half)."""
-        return cls._make(variable, {1: 1})
+        return cls._make(_check_names(variable, 1), {1: 1})
 
     @classmethod
     def monomial(cls, coeff: int, exponent, variable: str = "t") -> "LaurentPoly":
         if type(coeff) is not int:
             raise TypeError(f"coefficient {coeff!r} is not an int")
-        return cls._make(variable, {_to_numerator(exponent): coeff} if coeff else {})
+        terms = {_to_numerator(exponent): coeff} if coeff else {}
+        return cls._make(_check_names(variable, 1), terms)
 
     # -- ring structure ----------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, int):
-            return LaurentPoly.constant(other, self.variable)
+        if type(other) is int:
+            return LaurentPoly._make(self.variable, {0: other} if other else {})
         return None
 
     def __add__(self, other):
@@ -439,7 +453,7 @@ class LaurentPoly(_TermPoly):
         return LaurentPoly._make(self.variable, neg_terms(self.terms))
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             return LaurentPoly._make(self.variable, scale_terms(self.terms, other))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -448,7 +462,7 @@ class LaurentPoly(_TermPoly):
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int):
+        if type(k) is not int:
             return NotImplemented
         return LaurentPoly._make(self.variable, self._pow_terms(k, mul_terms))
 
@@ -476,7 +490,7 @@ class LaurentPoly(_TermPoly):
     # -- transforms --------------------------------------------------
 
     def rename(self, variable: str) -> "LaurentPoly":
-        return LaurentPoly._make(variable, dict(self.terms))
+        return LaurentPoly._make(_check_names(variable, 1), dict(self.terms))
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute the variable by its reciprocal."""
@@ -552,11 +566,7 @@ class LaurentPoly(_TermPoly):
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LaurentPoly":
-        rows = _json_terms(obj, ("num",))
-        variable = obj.get("variable", "t")
-        if not isinstance(variable, str):
-            raise ValueError(f'field "variable" is not a string: {variable!r}')
-        return cls(rows, variable=variable)
+        return cls(_json_terms(obj, ("num",)), variable=obj.get("variable", "t"))
 
     def render(self, style: str = "text") -> str:
         """Terms in descending exponent order with explicit signs, or the

@@ -3,7 +3,21 @@ construction."""
 
 import pytest
 
-from knotpoly import BiPoly, LaurentPoly, RadicalExpr
+from knotpoly import (
+    BiPoly,
+    LaurentPoly,
+    RadicalExpr,
+    alexander_qp,
+    alexander_rx_seq,
+    cheb_first_seq,
+    cheb_second_qp,
+    cheb_second_rx,
+    cheb_second_seq,
+    qnum_closed,
+    qnum_rec_seq,
+    qpnum_closed,
+    qpnum_rec_seq,
+)
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
@@ -126,3 +140,63 @@ def test_from_json_dict_names_the_malformed_field(cls, obj, field):
 def test_from_json_dict_rejects_non_object(cls, obj):
     with pytest.raises(ValueError, match="JSON object"):
         cls.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda poly: poly * True, id="mul"),
+    pytest.param(lambda poly: True * poly, id="rmul"),
+    pytest.param(lambda poly: poly ** True, id="pow"),
+])
+@pytest.mark.parametrize("poly", [LaurentPoly.gen(), BiPoly.gens()[0]], ids=["laurent", "bivar"])
+def test_bool_operand_is_refused(op, poly):
+    with pytest.raises(TypeError):
+        op(poly)
+
+
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda poly: poly + True, id="add"),
+    pytest.param(lambda poly: True - poly, id="rsub"),
+])
+@pytest.mark.parametrize("poly", [LaurentPoly.gen(), BiPoly.gens()[0]], ids=["laurent", "bivar"])
+def test_bool_addend_is_refused(op, poly):
+    with pytest.raises(TypeError):
+        op(poly)
+
+
+_NOT_A_NAME = '"variable" is not a string'
+_NOT_A_PAIR = '"variables" is not a pair of strings'
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: LaurentPoly({2: 1}, variable=7), _NOT_A_NAME, id="laurent-init"),
+    pytest.param(lambda: LaurentPoly.from_terms([(1, 1)], 7), _NOT_A_NAME,
+                 id="laurent-from-terms"),
+    pytest.param(lambda: LaurentPoly.zero(7), _NOT_A_NAME, id="laurent-zero"),
+    pytest.param(lambda: LaurentPoly.constant(3, 7), _NOT_A_NAME, id="laurent-constant"),
+    pytest.param(lambda: LaurentPoly.one(("t",)), _NOT_A_NAME, id="laurent-one"),
+    pytest.param(lambda: LaurentPoly.gen(None), _NOT_A_NAME, id="laurent-gen"),
+    pytest.param(lambda: LaurentPoly.gen_sqrt(7), _NOT_A_NAME, id="laurent-gen-sqrt"),
+    pytest.param(lambda: LaurentPoly.monomial(2, 1, 7), _NOT_A_NAME, id="laurent-monomial"),
+    pytest.param(lambda: LaurentPoly.gen().rename(7), _NOT_A_NAME, id="laurent-rename"),
+    pytest.param(lambda: BiPoly({(2, 0): 1}, ("a", "b", "c")), _NOT_A_PAIR, id="bivar-init"),
+    pytest.param(lambda: BiPoly.from_terms([((1, 0), 1)], ("a", 7)), _NOT_A_PAIR,
+                 id="bivar-from-terms"),
+    pytest.param(lambda: BiPoly.zero(("a",)), _NOT_A_PAIR, id="bivar-zero"),
+    pytest.param(lambda: BiPoly.constant(3, ("a", 7)), _NOT_A_PAIR, id="bivar-constant"),
+    pytest.param(lambda: BiPoly.one(("a", "b", "c")), _NOT_A_PAIR, id="bivar-one"),
+    pytest.param(lambda: BiPoly.gens(("a",)), _NOT_A_PAIR, id="bivar-gens"),
+    pytest.param(lambda: BiPoly.one().rename(("a", "b", "c")), _NOT_A_PAIR, id="bivar-rename"),
+    pytest.param(lambda: qnum_closed(2, 7), _NOT_A_NAME, id="qnum-closed"),
+    pytest.param(lambda: qnum_rec_seq(2, 7), _NOT_A_NAME, id="qnum-rec-seq"),
+    pytest.param(lambda: qpnum_closed(2, ("a",)), _NOT_A_PAIR, id="qpnum-closed"),
+    pytest.param(lambda: qpnum_rec_seq(2, ("a",)), _NOT_A_PAIR, id="qpnum-rec-seq"),
+    pytest.param(lambda: cheb_first_seq(2, 7), _NOT_A_NAME, id="cheb-first-seq"),
+    pytest.param(lambda: cheb_second_seq(2, 7), _NOT_A_NAME, id="cheb-second-seq"),
+    pytest.param(lambda: cheb_second_qp(2, ("a",)), _NOT_A_PAIR, id="cheb-second-qp"),
+    pytest.param(lambda: cheb_second_rx(2, ("a", 7)), _NOT_A_PAIR, id="cheb-second-rx"),
+    pytest.param(lambda: alexander_qp(2, ("a",)), _NOT_A_PAIR, id="alexander-qp"),
+    pytest.param(lambda: alexander_rx_seq(2, ("a",)), _NOT_A_PAIR, id="alexander-rx-seq"),
+])
+def test_variable_names_are_checked(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
