@@ -41,14 +41,6 @@ def _bi_sqrt_terms(terms):
     return out
 
 
-def _power(base: complex, k: int) -> complex:
-    if k == 0:
-        return 1 + 0j
-    if base == 0:
-        return 0j
-    return base**k
-
-
 class BiPoly(_TermPoly):
     """Sparse polynomial in an ordered pair of variables, with exact
     integer coefficients and half-integer exponents per variable."""
@@ -233,8 +225,8 @@ class BiPoly(_TermPoly):
         wb = cmath.sqrt(zb) if half_b else zb
         total = 0j
         for (na, nb), coeff in self.terms.items():
-            fa = _power(wa, na if half_a else na // 2)
-            fb = _power(wb, nb if half_b else nb // 2)
+            fa = wa ** (na if half_a else na // 2)
+            fb = wb ** (nb if half_b else nb // 2)
             total += coeff * fa * fb
         return total
 
@@ -271,11 +263,13 @@ class BiPoly(_TermPoly):
 
 
 class RadicalExpr:
-    """A polynomial prefactor times formal square roots of polynomials.
+    """A polynomial prefactor times the formal square root of a polynomial.
 
-    Entries in ``radicands`` are never perfect squares: the constructor
-    moves every extractable square part into the prefactor, and
-    ``square()`` always lands back in BiPoly.
+    ``radicands`` holds at most one entry, and never a perfect square: the
+    constructor multiplies the given radicands into one product, splits
+    it once with ``BiPoly.sqrt`` and moves its square part into the
+    prefactor, so equal values have one form.  ``square()`` always lands
+    back in BiPoly.
     """
 
     __slots__ = ("prefactor", "radicands")
@@ -283,22 +277,19 @@ class RadicalExpr:
     def __init__(self, prefactor: BiPoly, radicands=()):
         if not isinstance(prefactor, BiPoly):
             raise TypeError("prefactor must be a BiPoly")
-        pre = prefactor
+        radicands = list(radicands)
+        if not all(isinstance(rad, BiPoly) for rad in radicands):
+            raise TypeError("radicands must be BiPoly values")
         rest: list[BiPoly] = []
-        for rad in radicands:
-            if not isinstance(rad, BiPoly):
-                raise TypeError("radicands must be BiPoly values")
-            if rad.is_zero:
-                pre = pre * 0
-                rest = []
-                break
-            part = rad.sqrt()
-            pre = pre * part.prefactor
-            rest.extend(part.radicands)
-        if pre.is_zero:
-            rest = []
-        self.prefactor = pre
-        self.radicands = rest
+        if radicands:
+            product = math.prod(radicands[1:], start=radicands[0])
+            if product.is_zero:
+                prefactor = prefactor * 0
+            else:
+                part = product.sqrt()
+                prefactor, rest = prefactor * part.prefactor, part.radicands
+        self.prefactor = prefactor
+        self.radicands = [] if prefactor.is_zero else rest
 
     @classmethod
     def _raw(cls, prefactor: BiPoly, radicands) -> "RadicalExpr":
@@ -330,20 +321,16 @@ class RadicalExpr:
             total *= cmath.sqrt(rad.eval_complex(point))
         return total
 
-    def _radicand_key(self):
-        return tuple(sorted(tuple(sorted(r.terms.items())) for r in self.radicands))
-
     def __eq__(self, other):
         # a radical-free value equals its prefactor, as BiPoly or as int
         if isinstance(other, (BiPoly, int)):
             return not self.radicands and self.prefactor == other
         if not isinstance(other, RadicalExpr):
             return NotImplemented
-        return (self.prefactor == other.prefactor
-                and self._radicand_key() == other._radicand_key())
+        return self.prefactor == other.prefactor and self.radicands == other.radicands
 
     def __hash__(self):
-        return hash((self.prefactor, self._radicand_key()) if self.radicands else self.prefactor)
+        return hash((self.prefactor, *self.radicands) if self.radicands else self.prefactor)
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,7 @@ requires.
 from __future__ import annotations
 
 from .bivar import BiPoly
-from .laurent import LaurentPoly, _check_names
+from .laurent import LaurentPoly
 from .qnumbers import _check_index, _three_term, qpnum_closed
 
 __all__ = [
@@ -23,36 +23,35 @@ __all__ = [
 ]
 
 
-def cheb_first_seq(n_max: int, variable: str = "x") -> list[LaurentPoly]:
+def cheb_first_seq(n_max: int) -> list[LaurentPoly]:
     """T_0..T_n from T_0 = 2, T_1 = x, T_{k+1} = x T_k - T_{k-1}."""
     _check_index(n_max)
-    x = LaurentPoly.gen(variable)
-    return _three_term((LaurentPoly.constant(2, variable), x), x, -1, n_max + 1)
+    x = LaurentPoly.gen("x")
+    return _three_term((LaurentPoly.constant(2, "x"), x), x, -1, n_max + 1)
 
 
-def cheb_first(n: int, variable: str = "x") -> LaurentPoly:
-    return cheb_first_seq(n, variable)[n]
+def cheb_first(n: int) -> LaurentPoly:
+    return cheb_first_seq(n)[n]
 
 
-def cheb_second_seq(n_max: int, variable: str = "x") -> list[LaurentPoly]:
+def cheb_second_seq(n_max: int) -> list[LaurentPoly]:
     """V_0..V_n from V_0 = 1, V_1 = x, V_{k+1} = x V_k - V_{k-1}."""
     _check_index(n_max)
-    x = LaurentPoly.gen(variable)
-    return _three_term((LaurentPoly.one(variable), x), x, -1, n_max + 1)
+    x = LaurentPoly.gen("x")
+    return _three_term((LaurentPoly.one("x"), x), x, -1, n_max + 1)
 
 
-def cheb_second(n: int, variable: str = "x") -> LaurentPoly:
-    return cheb_second_seq(n, variable)[n]
+def cheb_second(n: int) -> LaurentPoly:
+    return cheb_second_seq(n)[n]
 
 
-def cheb_second_qp(n: int, variables=("q", "p")) -> BiPoly:
+def cheb_second_qp(n: int) -> BiPoly:
     """Two-variable second kind: equal to the (n+1)-st q,p-number."""
-    return qpnum_closed(n + 1, variables)
+    return qpnum_closed(n + 1)
 
 
-def cheb_second_rx(n: int, variables=("r", "x")) -> BiPoly:
+def cheb_second_rx(n: int) -> BiPoly:
     """Second kind with the scale variable factored out: r^n V_n(x)."""
     _check_index(n)
-    variables = _check_names(variables, 2)
     vn = cheb_second(n)
-    return BiPoly._make(variables, {(2 * n, num): c for num, c in vn.terms.items()})
+    return BiPoly._make(("r", "x"), {(2 * n, num): c for num, c in vn.terms.items()})

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .bivar import BiPoly, RadicalExpr
 from .errors import NonPolynomialB2
-from .laurent import LaurentPoly, _check_names
+from .laurent import LaurentPoly
 from .qnumbers import _check_index, _three_term, qnum_closed, qpnum_closed
 
 __all__ = [
@@ -128,32 +128,29 @@ def alexander_from_qnum(m: int) -> LaurentPoly:
     return (qnum_closed(m + 1) - qnum_closed(m)).rename("t")
 
 
-def alexander_qp(n: int, variables=("q", "p")) -> BiPoly:
+def alexander_qp(n: int) -> BiPoly:
     """Two-variable generalisation [n+1]_{q,p} - qp [n]_{q,p}.
 
     Specialises to the classical knot member of degree n under
     q -> t, p -> 1/t.
     """
     _check_index(n)
-    variables = _check_names(variables, 2)
-    qp = BiPoly._make(variables, {(2, 2): 1})
-    return qpnum_closed(n + 1, variables) - qp * qpnum_closed(n, variables)
+    qp = BiPoly._make(("q", "p"), {(2, 2): 1})
+    return qpnum_closed(n + 1) - qp * qpnum_closed(n)
 
 
-def alexander_rx_seq(n_max: int, variables=("r", "x")) -> list[BiPoly]:
+def alexander_rx_seq(n_max: int) -> list[BiPoly]:
     """Two-variable generalisation in scale/trace form, A_0..A_n, built by
     the recursion A_{k+1} = rx A_k - r^2 A_{k-1} from A_0 = 1,
     A_1 = rx - r^2."""
     _check_index(n_max)
-    variables = _check_names(variables, 2)
-    seeds = (BiPoly.one(variables), BiPoly._make(variables, {(2, 2): 1, (4, 0): -1}))
-    c1, c2 = (c.rename(variables) for c in _RX_REC)
-    return _three_term(seeds, c1, c2, n_max + 1)
+    seeds = (BiPoly.one(("r", "x")), BiPoly._make(("r", "x"), {(2, 2): 1, (4, 0): -1}))
+    return _three_term(seeds, *_RX_REC, n_max + 1)
 
 
-def alexander_rx(n: int, variables=("r", "x")) -> BiPoly:
+def alexander_rx(n: int) -> BiPoly:
     """The member A_n of :func:`alexander_rx_seq`."""
-    return alexander_rx_seq(n, variables)[n]
+    return alexander_rx_seq(n)[n]
 
 
 # -- HOMFLY family -------------------------------------------------------
@@ -237,7 +234,6 @@ class TripleCheck:
 
     index: int
     ok: bool
-    mode: str
     detail: str = ""
 
 
@@ -264,12 +260,12 @@ def verify_skein(sequence, b1, b2) -> SkeinReport:
 
     ``b1`` may be a polynomial (LaurentPoly or BiPoly, matching the
     sequence) or a RadicalExpr; ``b2`` a polynomial or int.  A radical b1
-    is split over the product D of its radicands: D.sqrt() gives
-    b1 = c·sqrt(D') with D' either absent, when b1 is a polynomial, or
-    not a square.  The sequence's ring is integrally closed, so a D' that
-    is no square there is none in its fraction field either, and 1 and
-    sqrt(D') are independent over that field.  The residue
-    (P_{n+1} - b2 P_{n-1}) - c P_n sqrt(D') therefore vanishes exactly
+    is c·sqrt(D) with D either absent, when b1 is a polynomial, or not a
+    square (``RadicalExpr`` keeps at most one radicand, split by
+    ``BiPoly.sqrt``).  The sequence's ring is integrally closed, so a D
+    that is no square there is none in its fraction field either, and 1
+    and sqrt(D) are independent over that field.  The residue
+    (P_{n+1} - b2 P_{n-1}) - c P_n sqrt(D) therefore vanishes exactly
     when both of its parts do.  Failures are recorded in the report,
     never raised.
     """
@@ -278,14 +274,7 @@ def verify_skein(sequence, b1, b2) -> SkeinReport:
         raise ValueError("need at least three sequence entries")
     radicand = None
     if isinstance(b1, RadicalExpr):
-        b1, radicands = b1.prefactor, b1.radicands
-        if radicands:
-            merged = radicands[0]
-            for rad in radicands[1:]:
-                merged = merged * rad
-            split = merged.sqrt()
-            b1 = b1 * split.prefactor
-            radicand = split.radicands[0] if split.radicands else None
+        b1, radicand = b1.prefactor, (b1.radicands[0] if b1.radicands else None)
     checks = []
     for i in range(2, len(sequence)):
         if radicand is None:
@@ -298,5 +287,5 @@ def verify_skein(sequence, b1, b2) -> SkeinReport:
             ok = rational.is_zero and radical.is_zero
             detail = "" if ok else (f"residue {rational} - ({radical})"
                                     f" * sqrt({radicand.render(ascending=False)})")
-        checks.append(TripleCheck(index=i, ok=ok, mode="symbolic", detail=detail))
+        checks.append(TripleCheck(index=i, ok=ok, detail=detail))
     return SkeinReport(checks)

@@ -542,14 +542,10 @@ class LaurentPoly(_TermPoly):
         integral = all(num % 2 == 0 for num in self.terms)
         if integral and z.imag == 0:
             return complex(_exact_real_sum(self.terms, z.real))
+        base, step = (z, 2) if integral else (cmath.sqrt(z), 1)
         total = 0j
-        if integral:
-            for num, coeff in self.terms.items():
-                total += coeff * z ** (num // 2)
-        else:
-            w = cmath.sqrt(z)
-            for num, coeff in self.terms.items():
-                total += coeff * w**num
+        for num, coeff in self.terms.items():
+            total += coeff * base ** (num // step)
         return total
 
     # -- rendering ---------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 
 from .bivar import BiPoly
-from .laurent import LaurentPoly, _check_names
+from .laurent import LaurentPoly
 
 __all__ = [
     "qnum_closed",
@@ -47,42 +47,38 @@ def _three_term(seeds, c1, c2, length):
     return seq
 
 
-def qnum_closed(n: int, variable: str = "q") -> LaurentPoly:
+def qnum_closed(n: int) -> LaurentPoly:
     """The symmetric sum q^(n-1) + q^(n-3) + ... + q^(1-n)."""
     _check_index(n)
-    terms = {2 * (n - 1) - 4 * i: 1 for i in range(n)}
-    return LaurentPoly._make(_check_names(variable, 1), terms)
+    return LaurentPoly._make("q", {2 * (n - 1) - 4 * i: 1 for i in range(n)})
 
 
-def qnum_rec_seq(n_max: int, variable: str = "q") -> list[LaurentPoly]:
+def qnum_rec_seq(n_max: int) -> list[LaurentPoly]:
     """Indices 0..n_max via [k+1] = (q + 1/q)[k] - [k-1] from [0]=0, [1]=1."""
     _check_index(n_max)
-    seeds = (LaurentPoly.zero(variable), LaurentPoly.one(variable))
-    return _three_term(seeds, LaurentPoly._make(variable, {2: 1, -2: 1}), -1, n_max + 1)
+    seeds = (LaurentPoly.zero("q"), LaurentPoly.one("q"))
+    return _three_term(seeds, LaurentPoly._make("q", {2: 1, -2: 1}), -1, n_max + 1)
 
 
-def qnum_rec(n: int, variable: str = "q") -> LaurentPoly:
+def qnum_rec(n: int) -> LaurentPoly:
     """Recurrence-built q-number; equals qnum_closed(n)."""
-    return qnum_rec_seq(n, variable)[n]
+    return qnum_rec_seq(n)[n]
 
 
-def qpnum_closed(n: int, variables=("q", "p")) -> BiPoly:
+def qpnum_closed(n: int) -> BiPoly:
     """The homogeneous sum of q^(n-1-i) p^i over i = 0..n-1."""
     _check_index(n)
-    return BiPoly._make(
-        _check_names(variables, 2), {(2 * (n - 1 - i), 2 * i): 1 for i in range(n)}
-    )
+    return BiPoly._make(("q", "p"), {(2 * (n - 1 - i), 2 * i): 1 for i in range(n)})
 
 
-def qpnum_rec_seq(n_max: int, variables=("q", "p")) -> list[BiPoly]:
+def qpnum_rec_seq(n_max: int) -> list[BiPoly]:
     """Indices 0..n_max via [k+1] = (q+p)[k] - qp[k-1] from [0]=0, [1]=1."""
     _check_index(n_max)
-    variables = _check_names(variables, 2)
-    seeds = (BiPoly.zero(variables), BiPoly.one(variables))
-    q_plus_p = BiPoly._make(variables, {(2, 0): 1, (0, 2): 1})
-    return _three_term(seeds, q_plus_p, BiPoly._make(variables, {(2, 2): -1}), n_max + 1)
+    seeds = (BiPoly.zero(("q", "p")), BiPoly.one(("q", "p")))
+    q_plus_p = BiPoly._make(("q", "p"), {(2, 0): 1, (0, 2): 1})
+    return _three_term(seeds, q_plus_p, BiPoly._make(("q", "p"), {(2, 2): -1}), n_max + 1)
 
 
-def qpnum_rec(n: int, variables=("q", "p")) -> BiPoly:
+def qpnum_rec(n: int) -> BiPoly:
     """Recurrence-built q,p-number; equals qpnum_closed(n)."""
-    return qpnum_rec_seq(n, variables)[n]
+    return qpnum_rec_seq(n)[n]

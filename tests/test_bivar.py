@@ -145,6 +145,20 @@ class TestRadicalExpr:
         with pytest.raises(UnresolvedRadical):
             expr.as_polynomial()
 
+    @pytest.mark.parametrize("left, right", [
+        pytest.param(lambda: RadicalExpr(BiPoly.one(("r", "x")), [x + 1, x + 1]),
+                     lambda: RadicalExpr(x + 1), id="square-product"),
+        pytest.param(lambda: RadicalExpr(BiPoly.one(("r", "x")), [x - 2, x + 3]),
+                     lambda: RadicalExpr(BiPoly.one(("r", "x")), [(x - 2) * (x + 3)]),
+                     id="split-product"),
+    ])
+    def test_constructor_merges_radicands(self, left, right):
+        # one value, one form: the radicands multiply into one before the
+        # square part is split off
+        assert left() == right()
+        assert hash(left()) == hash(right())
+        assert len(left().radicands) <= 1
+
     def test_zero_prefactor_clears_radicands(self):
         expr = RadicalExpr(BiPoly.zero(("r", "x")), [x - 2])
         assert expr.is_polynomial

@@ -1,0 +1,38 @@
+"""The README's examples run as written: its Python blocks execute, and each
+``knotpoly`` line of its shell blocks exits 0 and, for the commands that
+print one polynomial or a verify summary, prints its comment."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from knotpoly import cli, identities
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+BLOCKS = re.findall(r"^```(\w+)\n(.*?)^```", README, re.M | re.S)
+COMMANDS = [line for lang, body in BLOCKS if lang == "sh"
+            for line in body.splitlines() if line.startswith("knotpoly ")]
+# commands whose whole stdout is the line's comment
+PRINTS_COMMENT = {"alexander", "homfly", "qnum", "qpnum", "chebyshev", "verify"}
+
+
+def test_python_blocks_run():
+    # the registry example is an entry of knotpoly.identities, so it runs
+    # among that module's names
+    namespace = dict(vars(identities))
+    blocks = [body for lang, body in BLOCKS if lang == "python"]
+    assert blocks
+    for body in blocks:
+        exec(compile(body, "README.md", "exec"), namespace)
+
+
+@pytest.mark.parametrize("line", COMMANDS, ids=[line.split("#")[0].strip() for line in COMMANDS])
+def test_shell_command_runs(line, capsys):
+    command, _, comment = line.partition("#")
+    argv = shlex.split(command)[1:]
+    assert cli.run(argv) == 0
+    out = capsys.readouterr().out
+    if argv[0] in PRINTS_COMMENT:
+        assert out == comment.strip().strip('"') + "\n"

@@ -104,7 +104,6 @@ class TestVerify:
         report = verify_skein(seq, b1, 1)
         assert report.all_ok
         assert len(report.checks) == 10
-        assert all(c.mode == "symbolic" for c in report.checks)
         assert report.summary() == "10/10 triples satisfy the skein relation"
 
     def test_homfly_sequence_passes_composed_pair(self):
@@ -139,7 +138,6 @@ class TestVerify:
         coeffs = derive_skein(*RX)
         report = verify_skein(seq, coeffs.b1, coeffs.b2)
         assert len(report.checks) == 6
-        assert all(c.mode == "symbolic" for c in report.checks)
         # stepwise coefficients cannot hold on the knot-only list
         assert not any(c.ok for c in report.checks)
 
@@ -154,7 +152,7 @@ class TestVerify:
         b1 = (r * x - 2 * r).sqrt()
         one = BiPoly.one(("r", "x"))
         report = verify_skein([one, one, third * one], b1, r)
-        assert report.checks == [TripleCheck(2, False, "symbolic", detail)]
+        assert report.checks == [TripleCheck(2, False, detail)]
 
     def test_radical_b1_accepts_true_relation(self):
         # r = b1 * 0 + r * 1: P_1 = 0 clears the radical part
@@ -162,12 +160,12 @@ class TestVerify:
         seq = [BiPoly.one(("r", "x")), BiPoly.zero(("r", "x")), r]
         report = verify_skein(seq, b1, r)
         assert report.all_ok
-        assert report.checks[0].mode == "symbolic"
 
     def test_radical_b1_with_square_radicand_product(self):
         # sqrt(x + 1) * sqrt(x + 1) = x + 1, so b1 is the polynomial x + 1
         b1 = RadicalExpr(BiPoly.one(("r", "x")), [x + 1, x + 1])
-        assert len(b1.radicands) == 2
+        assert b1 == RadicalExpr(x + 1)
+        assert not b1.radicands
         report = verify_skein([BiPoly.one(("r", "x")), x, x**2 + x + 1], b1, 1)
         assert report.all_ok
 

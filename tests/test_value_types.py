@@ -8,14 +8,21 @@ from knotpoly import (
     LaurentPoly,
     RadicalExpr,
     alexander_qp,
+    alexander_rx,
     alexander_rx_seq,
+    alexander_unified_rec,
+    cheb_first,
     cheb_first_seq,
+    cheb_second,
     cheb_second_qp,
     cheb_second_rx,
     cheb_second_seq,
+    homfly_rec,
     qnum_closed,
+    qnum_rec,
     qnum_rec_seq,
     qpnum_closed,
+    qpnum_rec,
     qpnum_rec_seq,
 )
 
@@ -186,17 +193,33 @@ _NOT_A_PAIR = '"variables" is not a pair of strings'
     pytest.param(lambda: BiPoly.one(("a", "b", "c")), _NOT_A_PAIR, id="bivar-one"),
     pytest.param(lambda: BiPoly.gens(("a",)), _NOT_A_PAIR, id="bivar-gens"),
     pytest.param(lambda: BiPoly.one().rename(("a", "b", "c")), _NOT_A_PAIR, id="bivar-rename"),
-    pytest.param(lambda: qnum_closed(2, 7), _NOT_A_NAME, id="qnum-closed"),
-    pytest.param(lambda: qnum_rec_seq(2, 7), _NOT_A_NAME, id="qnum-rec-seq"),
-    pytest.param(lambda: qpnum_closed(2, ("a",)), _NOT_A_PAIR, id="qpnum-closed"),
-    pytest.param(lambda: qpnum_rec_seq(2, ("a",)), _NOT_A_PAIR, id="qpnum-rec-seq"),
-    pytest.param(lambda: cheb_first_seq(2, 7), _NOT_A_NAME, id="cheb-first-seq"),
-    pytest.param(lambda: cheb_second_seq(2, 7), _NOT_A_NAME, id="cheb-second-seq"),
-    pytest.param(lambda: cheb_second_qp(2, ("a",)), _NOT_A_PAIR, id="cheb-second-qp"),
-    pytest.param(lambda: cheb_second_rx(2, ("a", 7)), _NOT_A_PAIR, id="cheb-second-rx"),
-    pytest.param(lambda: alexander_qp(2, ("a",)), _NOT_A_PAIR, id="alexander-qp"),
-    pytest.param(lambda: alexander_rx_seq(2, ("a",)), _NOT_A_PAIR, id="alexander-rx-seq"),
 ])
 def test_variable_names_are_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# the builders take no names: each family lives in the paper's variables,
+# which the CLI prints; ``rename`` gives any others
+@pytest.mark.parametrize("build, names", [
+    pytest.param(lambda: [qnum_closed(2)], "q", id="qnum-closed"),
+    pytest.param(lambda: qnum_rec_seq(2), "q", id="qnum-rec-seq"),
+    pytest.param(lambda: [qnum_rec(2)], "q", id="qnum-rec"),
+    pytest.param(lambda: [qpnum_closed(2)], ("q", "p"), id="qpnum-closed"),
+    pytest.param(lambda: qpnum_rec_seq(2), ("q", "p"), id="qpnum-rec-seq"),
+    pytest.param(lambda: [qpnum_rec(2)], ("q", "p"), id="qpnum-rec"),
+    pytest.param(lambda: cheb_first_seq(2), "x", id="cheb-first-seq"),
+    pytest.param(lambda: [cheb_first(2)], "x", id="cheb-first"),
+    pytest.param(lambda: cheb_second_seq(2), "x", id="cheb-second-seq"),
+    pytest.param(lambda: [cheb_second(2)], "x", id="cheb-second"),
+    pytest.param(lambda: [cheb_second_qp(2)], ("q", "p"), id="cheb-second-qp"),
+    pytest.param(lambda: [cheb_second_rx(2)], ("r", "x"), id="cheb-second-rx"),
+    pytest.param(lambda: [alexander_qp(2)], ("q", "p"), id="alexander-qp"),
+    pytest.param(lambda: alexander_rx_seq(2), ("r", "x"), id="alexander-rx-seq"),
+    pytest.param(lambda: [alexander_rx(2)], ("r", "x"), id="alexander-rx"),
+    pytest.param(lambda: homfly_rec(2), ("a", "z"), id="homfly-rec"),
+    pytest.param(lambda: alexander_unified_rec(3), "t", id="alexander-unified-rec"),
+])
+def test_builders_use_the_paper_names(build, names):
+    for value in build():
+        assert (value.variable if isinstance(value, LaurentPoly) else value.variables) == names
