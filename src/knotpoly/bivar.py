@@ -21,9 +21,11 @@ __all__ = ["BiPoly", "RadicalExpr"]
 
 
 def _bi_sqrt_terms(terms):
-    """Exact square root of a nonempty bivariate numerator-keyed dict,
-    normalised to a positive coefficient at its largest key; None when
-    there is none.  ``BiPoly.sqrt`` gives the packing and its bound."""
+    """Exact square root of a bivariate numerator-keyed dict, normalised
+    to a positive coefficient at its largest key; None when there is
+    none.  ``BiPoly.sqrt`` gives the packing and its bound."""
+    if not terms:
+        return {}
     min_a = min(na for na, _ in terms)
     min_b = min(nb for _, nb in terms)
     if min_a % 2 or min_b % 2:
@@ -105,49 +107,29 @@ class BiPoly(_TermPoly):
 
     # -- ring structure ----------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, BiPoly):
-            return other
-        if type(other) is int:
-            return BiPoly._make(self.variables, {(0, 0): other} if other else {})
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return BiPoly._make(self.variables, add_terms(self.terms, other.terms))
+        return self._combine(other, add_terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return BiPoly._make(self.variables, sub_terms(self.terms, other.terms))
+        return self._combine(other, sub_terms)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return BiPoly._make(self.variables, sub_terms(other.terms, self.terms))
+        return self._combine(other, lambda a, b: sub_terms(b, a))
 
     def __neg__(self):
-        return BiPoly._make(self.variables, neg_terms(self.terms))
+        return self._like(neg_terms(self.terms))
 
     def __mul__(self, other):
         if type(other) is int:
-            return BiPoly._make(self.variables, scale_terms(self.terms, other))
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return BiPoly._make(self.variables, bi_mul_terms(self.terms, other.terms))
+            return self._like(scale_terms(self.terms, other))
+        return self._combine(other, bi_mul_terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if type(k) is not int:
-            return NotImplemented
-        return BiPoly._make(self.variables, self._pow_terms(k, bi_mul_terms))
+        return self._power(k, bi_mul_terms)
 
     # -- transforms --------------------------------------------------
 
@@ -184,13 +166,12 @@ class BiPoly(_TermPoly):
         Perfect squares are found by the univariate root on keys packed
         as (a, b) -> a·W + b, W one more than the largest b.  Packing is
         one-to-one below b-degree W, so a root with 2·b < W on every term
-        squares to the input, and a true root has 2·b <= W - 1.
+        squares to the input, and a true root has 2·b <= W - 1.  Zero is
+        its own root.
         """
-        if not self.terms:
-            raise ValueError("the zero polynomial has no canonical square root")
         whole = _bi_sqrt_terms(self.terms)
         if whole is not None:
-            return RadicalExpr._raw(BiPoly._make(self.variables, whole), [])
+            return RadicalExpr._raw(self._like(whole), [])
         content = 0
         for c in self.terms.values():
             content = math.gcd(content, c)
@@ -202,10 +183,9 @@ class BiPoly(_TermPoly):
         min_b = min(nb for _, nb in self.terms)
         even_a = min_a - (min_a % 2)
         even_b = min_b - (min_b % 2)
-        pre = BiPoly._make(self.variables, {(even_a // 2, even_b // 2): root_c})
-        residual = BiPoly._make(
-            self.variables,
-            {(na - even_a, nb - even_b): c // square for (na, nb), c in self.terms.items()},
+        pre = self._like({(even_a // 2, even_b // 2): root_c})
+        residual = self._like(
+            {(na - even_a, nb - even_b): c // square for (na, nb), c in self.terms.items()}
         )
         return RadicalExpr._raw(pre, [residual])
 
@@ -268,8 +248,10 @@ class RadicalExpr:
     ``radicands`` holds at most one entry, and never a perfect square: the
     constructor multiplies the given radicands into one product, splits
     it once with ``BiPoly.sqrt`` and moves its square part into the
-    prefactor, so equal values have one form.  ``square()`` always lands
-    back in BiPoly.
+    prefactor.  That split finds no square polynomial factor, so equal
+    values may keep different forms (``sqrt(2x^2 + 4x + 2)`` and
+    ``(1 + x) * sqrt(2)``); equality and hashing go by the value.
+    ``square()`` always lands back in BiPoly.
     """
 
     __slots__ = ("prefactor", "radicands")
@@ -282,12 +264,8 @@ class RadicalExpr:
             raise TypeError("radicands must be BiPoly values")
         rest: list[BiPoly] = []
         if radicands:
-            product = math.prod(radicands[1:], start=radicands[0])
-            if product.is_zero:
-                prefactor = prefactor * 0
-            else:
-                part = product.sqrt()
-                prefactor, rest = prefactor * part.prefactor, part.radicands
+            part = math.prod(radicands[1:], start=radicands[0]).sqrt()
+            prefactor, rest = prefactor * part.prefactor, part.radicands
         self.prefactor = prefactor
         self.radicands = [] if prefactor.is_zero else rest
 
@@ -327,10 +305,19 @@ class RadicalExpr:
             return not self.radicands and self.prefactor == other
         if not isinstance(other, RadicalExpr):
             return NotImplemented
-        return self.prefactor == other.prefactor and self.radicands == other.radicands
+        if not (self.radicands and other.radicands):
+            return self.radicands == other.radicands and self.prefactor == other.prefactor
+        # p·sqrt(D) == q·sqrt(E) when the squares agree and the signs do:
+        # sqrt(D)·sqrt(E) is s·r, with r the root of D·E normalised to a
+        # positive lead and s the sign of D's lead
+        if self.square() != other.square():
+            return False
+        (d,), (e,) = self.radicands, other.radicands
+        s = 1 if d.terms[max(d.terms)] > 0 else -1
+        return self.prefactor * s * (d * e).sqrt().prefactor == other.prefactor * e
 
     def __hash__(self):
-        return hash((self.prefactor, *self.radicands) if self.radicands else self.prefactor)
+        return hash(self.square() if self.radicands else self.prefactor)
 
     def to_json_dict(self) -> dict:
         return {

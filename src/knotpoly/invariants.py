@@ -199,18 +199,11 @@ def derive_skein(c1: BiPoly, c2: BiPoly) -> SkeinCoeffs:
     radical factors.
     """
     minus_c2 = -c2
-    if minus_c2.is_zero:
-        b2 = BiPoly.zero(c2.variables)
-    else:
-        root = minus_c2.sqrt()
-        if root.radicands:
-            raise NonPolynomialB2(f"-c2 = {minus_c2} is not a perfect square")
-        b2 = root.prefactor
-    inner = c1 - 2 * b2
-    if inner.is_zero:
-        b1 = RadicalExpr._raw(BiPoly.zero(c1.variables), [])
-    else:
-        b1 = inner.sqrt()
+    root = minus_c2.sqrt()
+    if root.radicands:
+        raise NonPolynomialB2(f"-c2 = {minus_c2} is not a perfect square")
+    b2 = root.prefactor
+    b1 = (c1 - 2 * b2).sqrt()
     return SkeinCoeffs(b1, b2)
 
 

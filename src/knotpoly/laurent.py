@@ -281,9 +281,28 @@ class _TermPoly:
                 del clean[key]
         return clean
 
-    def _pow_terms(self, k: int, mul) -> dict:
-        """``self.terms`` to the power ``k`` by square-and-multiply, with
-        the arity's multiplication kernel ``mul``."""
+    def _combine(self, other, kernel):
+        """The operand rule of every binary ring operator: an int is the
+        constant term dict and a value of the receiver's own type gives its
+        terms; anything else, bools included, is NotImplemented.  Returns
+        ``kernel(self.terms, other_terms)`` in the receiver's variables.
+
+        Each operator names its kernel, a module global, in its body, so the
+        kernel is looked up per call and a tracer that patches the module
+        sees every call."""
+        if type(other) is int:
+            other_terms = {self._UNIT: other} if other else {}
+        elif isinstance(other, type(self)):
+            other_terms = other.terms
+        else:
+            return NotImplemented
+        return self._like(kernel(self.terms, other_terms))
+
+    def _power(self, k, mul):
+        """``self ** k`` by square-and-multiply with the arity's
+        multiplication kernel ``mul``; NotImplemented unless k is an int."""
+        if type(k) is not int:
+            return NotImplemented
         if k < 0:
             raise ValueError("exponent must be nonnegative")
         result = {self._UNIT: 1}
@@ -294,7 +313,7 @@ class _TermPoly:
             k >>= 1
             if k:
                 base = mul(base, base)
-        return result
+        return self._like(result)
 
     def _render(self, style: str, descending: bool, body) -> str:
         """``render`` for either arity: the JSON form, or the terms in key
@@ -421,50 +440,32 @@ class LaurentPoly(_TermPoly):
         return cls._make(_check_names(variable, 1), terms)
 
     # -- ring structure ----------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPoly):
-            return other
-        if type(other) is int:
-            return LaurentPoly._make(self.variable, {0: other} if other else {})
-        return None
+    # Each class defines its own operators (``perfbench/spans.py`` wraps
+    # them in the class ``__dict__``); the operand rule is ``_combine``.
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LaurentPoly._make(self.variable, add_terms(self.terms, other.terms))
+        return self._combine(other, add_terms)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LaurentPoly._make(self.variable, sub_terms(self.terms, other.terms))
+        return self._combine(other, sub_terms)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return LaurentPoly._make(self.variable, sub_terms(other.terms, self.terms))
+        return self._combine(other, lambda a, b: sub_terms(b, a))
 
     def __neg__(self):
-        return LaurentPoly._make(self.variable, neg_terms(self.terms))
+        return self._like(neg_terms(self.terms))
 
     def __mul__(self, other):
         if type(other) is int:
-            return LaurentPoly._make(self.variable, scale_terms(self.terms, other))
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return LaurentPoly._make(self.variable, mul_terms(self.terms, other.terms))
+            return self._like(scale_terms(self.terms, other))
+        return self._combine(other, mul_terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if type(k) is not int:
-            return NotImplemented
-        return LaurentPoly._make(self.variable, self._pow_terms(k, mul_terms))
+        return self._power(k, mul_terms)
 
     # -- queries -----------------------------------------------------
 
@@ -494,7 +495,7 @@ class LaurentPoly(_TermPoly):
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute the variable by its reciprocal."""
-        return LaurentPoly._make(self.variable, {-n: c for n, c in self.terms.items()})
+        return self._like({-n: c for n, c in self.terms.items()})
 
     def compose(self, inner):
         """Substitute ``inner`` for the variable.
@@ -517,14 +518,12 @@ class LaurentPoly(_TermPoly):
         """Exact square root, normalised to a positive leading coefficient.
 
         Raises NotAPerfectSquare when no root with integer coefficients
-        exists on the half-exponent lattice, and ValueError on zero.
+        exists on the half-exponent lattice.  Zero is its own root.
         """
-        if not self.terms:
-            raise ValueError("the zero polynomial has no canonical square root")
         root = _sqrt_terms(self.terms)
         if root is None:
             raise NotAPerfectSquare(f"{self} is not a perfect square")
-        return LaurentPoly._make(self.variable, root)
+        return self._like(root)
 
     def eval_complex(self, value) -> complex:
         """Numeric evaluation; half exponents use the principal square root

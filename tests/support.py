@@ -11,6 +11,7 @@ from knotpoly import BiPoly, LaurentPoly
 coefficients = st.integers(min_value=-99, max_value=99)
 half_numerators = st.integers(min_value=-20, max_value=20)
 wide_coefficients = st.integers(min_value=-(2**64), max_value=2**64)
+small_coefficients = st.integers(min_value=-2, max_value=2)
 
 
 def laurent_polys(max_terms=12, nonzero=False, strides=(1,), coeffs=coefficients):
@@ -44,13 +45,13 @@ def laurent_polys_integral(max_degree=5, max_terms=6):
     ).map(LaurentPoly)
 
 
-def bi_polys(max_terms=10, nonzero=False):
+def bi_polys(max_terms=10, nonzero=False, coeffs=coefficients):
     keys = st.tuples(
         st.integers(min_value=-10, max_value=10),
         st.integers(min_value=-10, max_value=10),
     )
     base = st.lists(
-        st.tuples(keys, coefficients),
+        st.tuples(keys, coeffs),
         min_size=1 if nonzero else 0,
         max_size=max_terms,
     ).map(BiPoly)

@@ -62,12 +62,25 @@ HOMFLY_TABLE = [
 ]
 
 
+QNUM_TABLE = ["n=1: 1", "n=2: q + q^(-1)", "n=3: q^2 + 1 + q^(-2)"]
+
+QPNUM_TABLE = ["n=1: 1", "n=2: q + p", "n=3: q^2 + qp + p^2"]
+
+CHEB_FIRST_TABLE = ["n=0: 2", "n=1: x", "n=2: x^2 - 2", "n=3: x^3 - 3x"]
+
+CHEB_SECOND_TABLE = ["n=0: 1", "n=1: x", "n=2: x^2 - 1", "n=3: x^3 - 2x"]
+
+
 def test_criterion_1_table_reproduction(capsys):
     cases = [
         (["table", "alexander-knots", "--max", "3"], KNOT_TABLE),
         (["table", "alexander-links", "--max", "3"], LINK_TABLE),
         (["table", "unified", "--max", "7"], UNIFIED_TABLE),
         (["table", "homfly", "--max", "3"], HOMFLY_TABLE),
+        (["table", "qnum", "--max", "3"], QNUM_TABLE),
+        (["table", "qpnum", "--max", "3"], QPNUM_TABLE),
+        (["table", "chebyshev-first", "--max", "3"], CHEB_FIRST_TABLE),
+        (["table", "chebyshev-second", "--max", "3"], CHEB_SECOND_TABLE),
     ]
     for argv, expected in cases:
         assert run(argv) == 0

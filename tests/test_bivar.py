@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from knotpoly import BiPoly, LaurentPoly, RadicalExpr
 from knotpoly.errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
 
-from support import bi_polys, bi_polys_integral
+from support import bi_polys, bi_polys_integral, small_coefficients
 
 q, p = BiPoly.gens(("q", "p"))
 r, x = BiPoly.gens(("r", "x"))
 a, z = BiPoly.gens(("a", "z"))
 t = LaurentPoly.gen("t")
 t_inv = LaurentPoly.from_terms([(-1, 1)], "t")
+
+
+def _c(value):
+    return BiPoly.constant(value, ("r", "x"))
 
 
 class TestConstruction:
@@ -109,9 +113,19 @@ class TestSqrt:
         assert result.prefactor == x
         assert [rad.terms for rad in result.radicands] == [{(0, 0): 12}]
 
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            BiPoly.zero().sqrt()
+    def test_zero_is_its_own_root(self):
+        result = BiPoly.zero(("r", "x")).sqrt()
+        assert result.is_polynomial
+        assert result.prefactor.is_zero
+        assert result.prefactor.variables == ("r", "x")
+
+    def test_root_of_square_with_cancelled_term(self):
+        # (q^2 + 2qp - 2p^2)^2 has no q^2 p^2 term
+        square = BiPoly.from_terms([((4, 0), 1), ((3, 1), 4), ((1, 3), -8), ((0, 4), 4)])
+        assert square == (q**2 + 2 * q * p - 2 * p**2) ** 2
+        result = square.sqrt()
+        assert result.is_polynomial
+        assert result.prefactor == q**2 + 2 * q * p - 2 * p**2
 
     def test_square_reproduces_input(self):
         for f in (r * x - 2 * r, -q, 3 * q * p + p, a**3 + a, q * q - p):
@@ -153,11 +167,35 @@ class TestRadicalExpr:
                      id="split-product"),
     ])
     def test_constructor_merges_radicands(self, left, right):
-        # one value, one form: the radicands multiply into one before the
-        # square part is split off
+        # the radicands multiply into one before the square part is split off
         assert left() == right()
         assert hash(left()) == hash(right())
         assert len(left().radicands) <= 1
+
+    @pytest.mark.parametrize("left, right", [
+        pytest.param(lambda: RadicalExpr(x, [_c(12)]), lambda: RadicalExpr(2 * x, [_c(3)]),
+                     id="integer-content"),
+        pytest.param(lambda: RadicalExpr(_c(1), [2 * (x + 1) ** 2]),
+                     lambda: RadicalExpr(x + 1, [_c(2)]), id="square-factor"),
+        pytest.param(lambda: RadicalExpr(_c(2), [_c(-3)]), lambda: RadicalExpr(_c(1), [_c(-12)]),
+                     id="negative-radicand"),
+    ])
+    def test_equal_values_in_different_forms(self, left, right):
+        assert left() == right()
+        assert right() == left()
+        assert hash(left()) == hash(right())
+
+    @pytest.mark.parametrize("left, right", [
+        pytest.param(lambda: RadicalExpr(x, [_c(12)]), lambda: RadicalExpr(-2 * x, [_c(3)]),
+                     id="opposite-sign"),
+        pytest.param(lambda: RadicalExpr(_c(1), [_c(-3)]), lambda: RadicalExpr(_c(1), [_c(-12)]),
+                     id="different-square"),
+        pytest.param(lambda: RadicalExpr(_c(1), [x - 2]), lambda: RadicalExpr(_c(1), [2 - x]),
+                     id="negated-radicand"),
+    ])
+    def test_unequal_values(self, left, right):
+        assert left() != right()
+        assert right() != left()
 
     def test_zero_prefactor_clears_radicands(self):
         expr = RadicalExpr(BiPoly.zero(("r", "x")), [x - 2])
@@ -272,6 +310,18 @@ class TestProperties:
 
     @given(g=bi_polys(nonzero=True))
     def test_sqrt_finds_perfect_squares(self, g):
+        expr = (g * g).sqrt()
+        assert not expr.radicands
+        assert expr.prefactor == (g if g.terms[max(g.terms)] > 0 else -g)
+
+    @given(
+        g=bi_polys(max_terms=6, nonzero=True, coeffs=small_coefficients),
+        u=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda key: BiPoly({key: 1})),
+    )
+    def test_sqrt_finds_squares_with_cancellations(self, g, u):
+        # (1 + 2u - 2u^2)^2 has no u^2 term, so these squares often lack a
+        # key that the long division passes through
+        g = g * (1 + 2 * u - 2 * u * u)
         expr = (g * g).sqrt()
         assert not expr.radicands
         assert expr.prefactor == (g if g.terms[max(g.terms)] > 0 else -g)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from knotpoly import LaurentPoly
 from knotpoly.errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
 
-from support import laurent_polys, laurent_polys_integral, wide_coefficients
+from support import laurent_polys, laurent_polys_integral, small_coefficients, wide_coefficients
 
 t = LaurentPoly.gen("t")
 t_inv = LaurentPoly.from_terms([(-1, 1)], "t")
@@ -114,9 +114,17 @@ class TestSqrtPerfect:
             [(Fraction(3, 2), 2)]
         )
 
-    def test_zero_raises(self):
-        with pytest.raises(ValueError):
-            LaurentPoly.zero().sqrt_perfect()
+    def test_zero_is_its_own_root(self):
+        root = LaurentPoly.zero("q").sqrt_perfect()
+        assert root.is_zero
+        assert root.variable == "q"
+
+    def test_root_of_square_with_cancelled_term(self):
+        # (t^2 + 2t - 2)^2 has no t^2 term, so the long division must add
+        # that key to its remainder
+        square = LaurentPoly.from_terms([(4, 1), (3, 4), (1, -8), (0, 4)])
+        assert square == (t**2 + 2 * t - 2) ** 2
+        assert square.sqrt_perfect() == t**2 + 2 * t - 2
 
     @pytest.mark.parametrize(
         "poly",
@@ -230,6 +238,17 @@ class TestProperties:
         root = (p * p).sqrt_perfect()
         expected = p if p.leading_coefficient() > 0 else -p
         assert root == expected
+
+    @given(
+        p=laurent_polys(max_terms=6, nonzero=True, coeffs=small_coefficients),
+        u=st.integers(1, 6).map(lambda num: LaurentPoly({num: 1})),
+    )
+    def test_sqrt_round_trip_with_cancellations(self, p, u):
+        # (1 + 2u - 2u^2)^2 has no u^2 term, so these squares often lack a
+        # key that the long division passes through
+        p = p * (1 + 2 * u - 2 * u * u)
+        root = (p * p).sqrt_perfect()
+        assert root == (p if p.leading_coefficient() > 0 else -p)
 
     @given(a=laurent_polys_integral(), b=laurent_polys_integral(), g=laurent_polys(max_terms=4))
     def test_compose_is_ring_homomorphism(self, a, b, g):

@@ -63,6 +63,12 @@ class TestDerive:
         assert coeffs.b2.is_zero
         assert coeffs.b1.prefactor == x
 
+    def test_zero_b1(self):
+        coeffs = derive_skein(2 * r, -(r**2))
+        assert coeffs.b1 == 0
+        assert coeffs.b1.prefactor.variables == ("r", "x")
+        assert compose_skein(coeffs.b1, coeffs.b2) == (2 * r, -(r**2))
+
 
 class TestCompose:
     def test_classical(self):

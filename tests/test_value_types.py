@@ -1,5 +1,7 @@
-"""Contracts LaurentPoly and BiPoly share: equality, hashing and strict
-construction."""
+"""Contracts LaurentPoly and BiPoly share: equality, hashing, strict
+construction and the ring operators' operand rule."""
+
+import operator
 
 import pytest
 
@@ -168,6 +170,43 @@ def test_bool_operand_is_refused(op, poly):
 def test_bool_addend_is_refused(op, poly):
     with pytest.raises(TypeError):
         op(poly)
+
+
+# a value of each type in names other than the defaults
+_LAURENT = LaurentPoly.from_terms([(1, 2), (-1, 1)], "s")
+_BIVAR = BiPoly.from_terms([((1, 0), 2), ((0, 2), -1)], ("r", "x"))
+_BINARY_OPS = [pytest.param(op, id=op.__name__) for op in (operator.add, operator.sub, operator.mul)]
+
+
+@pytest.mark.parametrize("poly, names, constant", [
+    pytest.param(_LAURENT, "variable", lambda c: LaurentPoly.constant(c, "s"), id="laurent"),
+    pytest.param(_BIVAR, "variables", lambda c: BiPoly.constant(c, ("r", "x")), id="bivar"),
+])
+@pytest.mark.parametrize("op", _BINARY_OPS)
+@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("int_on_left", [False, True], ids=["int-right", "int-left"])
+def test_int_operand_is_its_constant(poly, names, constant, op, value, int_on_left):
+    if int_on_left:
+        result, expected = op(value, poly), op(constant(value), poly)
+    else:
+        result, expected = op(poly, value), op(poly, constant(value))
+    assert type(result) is type(poly)
+    assert result == expected
+    assert getattr(result, names) == getattr(poly, names)
+
+
+@pytest.mark.parametrize("poly, other", [
+    pytest.param(poly, other, id=f"{name}-{kind}")
+    for name, poly, other_type in (("laurent", _LAURENT, BiPoly.one()),
+                                   ("bivar", _BIVAR, LaurentPoly.one()))
+    for kind, other in (("str", "2"), ("float", 2.0), ("other-type", other_type))
+])
+@pytest.mark.parametrize("op", _BINARY_OPS)
+def test_foreign_operand_is_refused(poly, other, op):
+    with pytest.raises(TypeError):
+        op(poly, other)
+    with pytest.raises(TypeError):
+        op(other, poly)
 
 
 _NOT_A_NAME = '"variable" is not a string'
