@@ -1,4 +1,13 @@
-"""The term-dict kernels every polynomial operation runs on (see ``pure``)."""
+"""The term-dict kernels every polynomial operation runs on (see ``pure``).
+
+Addition, subtraction, negation and scaling are one pass over the terms.
+The two multiplications, ``mul_terms`` (int keys) and ``bi_mul_terms``
+(pairs of ints), loop over the pairs of terms while the shorter operand is
+below a measured crossover; above it, a product dense enough for the
+density guard runs as one Kronecker-packed big-int multiply, which both
+arities share.  ``compose`` and ``substitute`` split their source so that
+their work is balanced products that reach the packed multiply.
+"""
 
 from .pure import add_terms, bi_mul_terms, mul_terms, neg_terms, scale_terms, sub_terms
 

@@ -17,6 +17,7 @@ import cmath
 import json
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from heapq import heapify, heappop, heappush
@@ -25,6 +26,12 @@ from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
 
 __all__ = ["LaurentPoly"]
+
+# Top degree below which a block of a substitution runs Horner rather than
+# splitting again.  Measured on the compositions of alexander-chebyshev and
+# homfly-bridge: below it, the squarings a split adds cost more than the
+# Horner products by the image that it saves.
+_HORNER_BELOW = 24
 
 
 def _to_numerator(exponent) -> int:
@@ -158,8 +165,14 @@ def _substitute(source, images):
     An image that is a monomial ``c X^e`` of that ring is an exponent remap,
     sending degree k to key k·e with coefficient c^k, so with every image a
     monomial the substitution is one pass over the terms.  Any other image
-    runs Horner over the degrees present only, jumping each gap with a
-    power of the image.
+    g splits the degrees present, p(g) = p_lo(g) + g^m·p_hi(g) with m the
+    largest power of two up to the top degree, so both halves stay below
+    degree m (Brent and Kung, J. ACM 25, 1978).  The squares g^m are built
+    only as a split needs them, a lone term at degree d takes g^d whole,
+    and a block whose top degree is below ``_HORNER_BELOW`` runs Horner
+    over its degrees, jumping each gap with a power of g.  The O(log n)
+    levels of balanced products that replace Horner's n products by g
+    are what the packed multiplication kernel serves.
     """
     zero = images[0] * 0
     for img in images[1:]:
@@ -184,22 +197,60 @@ def _substitute_rows(source, images, monos, zero):
     rows = {}
     for degrees, coeff in source.items():
         rows.setdefault(degrees[g], {})[degrees[:g] + degrees[g + 1:]] = coeff
-    powers = {1: image}
+    if not rows:
+        return zero
+    items = [(d, _substitute_rows(row, rest, rest_monos, zero) if rest else row[()])
+             for d, row in sorted(rows.items())]
+    result = _split(items, _Powers(image))
+    if type(result) is type(zero) and isinstance(zero, _TermPoly):
+        return zero._like(result.terms)  # in the ring's names, with no pass
+    return zero + result
 
-    def power(k):
-        if k not in powers:
-            powers[k] = image**k
-        return powers[k]
 
-    result = zero
-    prev = None
-    for d in sorted(rows, reverse=True):
-        if prev is not None:
-            result = result * power(prev - d)
-        row = rows[d]
-        result = result + (_substitute_rows(row, rest, rest_monos, zero) if rest else row[()])
-        prev = d
-    return result * power(prev) if prev else result
+class _Powers:
+    """The powers of one image g, cached by degree: ``power(d)`` by ``**``,
+    and ``square(m)``, for m a power of two, by squaring g^(m/2)."""
+
+    def __init__(self, image):
+        self.cache = {1: image}
+
+    def power(self, d):
+        if d not in self.cache:
+            self.cache[d] = self.cache[1] ** d
+        return self.cache[d]
+
+    def square(self, m):
+        if m not in self.cache:
+            half = self.square(m // 2)
+            self.cache[m] = half * half
+        return self.cache[m]
+
+
+def _horner(items, powers):
+    """sum(v * g^d) over the pairs (d, v) of ``items``, in ascending order of
+    d, by Horner from the top down, jumping each gap with a cached power."""
+    d, result = items[-1]
+    for below, value in reversed(items[:-1]):
+        result = result * powers.power(d - below) + value
+        d = below
+    return result * powers.power(d) if d else result
+
+
+def _split(items, powers):
+    """``_horner``'s sum as p_lo + g^m·p_hi, with m the largest power of two
+    up to the top degree, so both halves have degree below m."""
+    top = items[-1][0]
+    if top < _HORNER_BELOW:
+        return _horner(items, powers)
+    m = 1 << (top.bit_length() - 1)
+    cut = bisect_left(items, (m,))
+    low, high = items[:cut], [(d - m, v) for d, v in items[cut:]]
+    if len(high) == 1:
+        d, value = items[-1]
+        high_part = value * powers.power(d)
+    else:
+        high_part = powers.square(m) * _split(high, powers)
+    return high_part + _split(low, powers) if low else high_part
 
 
 def _remap(source, monos, unit):

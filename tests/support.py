@@ -71,6 +71,27 @@ def bi_polys_integral(max_degree=3, max_terms=6, max_coeff=9):
 # -- naive references for the fast paths ------------------------------------
 
 
+def naive_mul_terms(a, b):
+    """The product of two univariate term dicts by the schoolbook loop over
+    every pair of terms."""
+    acc = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
+    return {k: v for k, v in acc.items() if v}
+
+
+def naive_bi_mul_terms(a, b):
+    """The product of two bivariate term dicts by the schoolbook loop over
+    every pair of terms."""
+    acc = {}
+    for (xa, ya), ca in a.items():
+        for (xb, yb), cb in b.items():
+            k = (xa + xb, ya + yb)
+            acc[k] = acc.get(k, 0) + ca * cb
+    return {k: v for k, v in acc.items() if v}
+
+
 def naive_compose(poly, inner):
     """``poly.compose(inner)`` by dense Horner over every degree from the
     top down to 0, zero coefficients included."""

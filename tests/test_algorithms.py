@@ -4,6 +4,7 @@ exact Fraction sum, the recurrence-built families against the binomial
 closed form of the Chebyshev polynomials, and the square roots' memory
 against their term counts."""
 
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -23,6 +24,7 @@ from knotpoly import (
     identities,
     invariants,
 )
+from knotpoly._kernels import pure
 
 from support import (
     bi_polys_integral,
@@ -137,6 +139,102 @@ def test_substitute_refuses_images_from_two_rings(images):
 def test_zero_polynomial_substitutes_to_a_typed_zero(images):
     _same(BiPoly.zero(("r", "x")).substitute(*images), naive_substitute(BiPoly.zero(), *images))
     _same(LaurentPoly.zero().compose(images[1]), naive_compose(LaurentPoly.zero(), images[1]))
+
+
+# -- split composition at depth -----------------------------------------------
+
+# Sources of degree 64 to 80, so the split recurses three levels above its
+# Horner blocks and its upper blocks reach the packed kernel; images of 2
+# terms and of at least the packed kernel's crossover in terms.
+_CROSSOVER = pure._CROSSOVER
+_deep_coeffs = st.integers(min_value=-9, max_value=9)
+
+
+@st.composite
+def _deep_sources(draw):
+    """A dense source of degree 64..80 with some zero coefficients, one
+    with a low block and a lone top term past a gap of 40 or more, the
+    zero polynomial, or a constant."""
+    kind = draw(st.sampled_from(("dense", "gap", "dense", "gap", "dense", "zero", "constant")))
+    if kind == "zero":
+        return {}
+    if kind == "constant":
+        return {0: draw(_deep_coeffs.filter(bool))}
+    if kind == "dense":
+        top = draw(st.integers(min_value=64, max_value=80))
+        coeffs = draw(st.lists(_deep_coeffs, min_size=top, max_size=top))
+        return {**dict(enumerate(coeffs)), top: draw(_deep_coeffs.filter(bool))}
+    low = draw(st.lists(_deep_coeffs, max_size=6))
+    return {**dict(enumerate(low)), draw(st.integers(min_value=len(low) + 40, max_value=80)): 1}
+
+
+def _deep_image(ring, terms):
+    """A LaurentPoly in u or a BiPoly in (a, z) with exactly ``terms``
+    terms on a band of consecutive numerators, half ones included."""
+    def build(pairs):
+        return LaurentPoly(pairs, "u") if ring == "laurent" else BiPoly(pairs, ("a", "z"))
+
+    def keys(start):
+        nums = range(start, start + terms)
+        return list(nums) if ring == "laurent" else [(n, 2 * n) for n in nums]
+
+    return st.builds(lambda start, coeffs: build(zip(keys(start), coeffs)),
+                     st.integers(min_value=-6, max_value=2),
+                     st.lists(st.integers(min_value=-3, max_value=3).filter(bool),
+                              min_size=terms, max_size=terms))
+
+
+_deep_images = {
+    "laurent-2": _deep_image("laurent", 2),
+    "bivar-2": _deep_image("bivar", 2),
+    "laurent-crossover": _deep_image("laurent", _CROSSOVER),
+    "int": st.integers(min_value=-3, max_value=3),
+}
+
+
+@pytest.mark.parametrize("image", list(_deep_images))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), source=_deep_sources())
+def test_compose_at_depth_matches_dense_horner(image, data, source):
+    poly = LaurentPoly({2 * d: c for d, c in source.items()})
+    inner = data.draw(_deep_images[image])
+    _same(poly.compose(inner), naive_compose(poly, inner))
+
+
+@pytest.mark.parametrize("images", [("laurent-2", "laurent-crossover"),
+                                    ("laurent-crossover", "int"), ("bivar-2", "bivar-2")])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), source=_deep_sources(),
+       column=st.lists(_deep_coeffs.filter(bool), min_size=1, max_size=3))
+def test_substitute_at_depth_matches_dense_horner(images, data, source, column):
+    # the deep source in the first variable, times a short column in the
+    # second, so every row of the split is a substitution of its own
+    poly = BiPoly({(2 * d, 2 * j): c * e for d, c in source.items() for j, e in enumerate(column)})
+    image_a, image_b = (data.draw(_deep_images[name]) for name in images)
+    _same(poly.substitute(image_a, image_b), naive_substitute(poly, image_a, image_b))
+
+
+def test_compose_six_levels_deep_matches_dense_horner():
+    # degree 800: splits at 512, 256, 128, 64, 32 and 16 above Horner blocks
+    coeffs = [(-1) ** (k // 3) * (k % 7 + 1) for k in range(801)]
+    poly = LaurentPoly({2 * k: c for k, c in enumerate(coeffs)})
+    inner = LaurentPoly({1: 1, -2: 2}, "u")
+    _same(poly.compose(inner), naive_compose(poly, inner))
+
+
+def test_substitution_leaves_no_reference_cycles():
+    # the split's powers are freed when it returns, not at the next
+    # collection: a cycle through them would hold every power until then
+    poly = LaurentPoly({2 * k: k + 1 for k in range(100)})
+    source = BiPoly({(2 * i, 2 * j): i - j for i in range(30) for j in range(3)})
+    gc.collect()
+    gc.disable()
+    try:
+        poly.compose(LaurentPoly({2: 1, -2: 1}))
+        source.substitute(BiPoly({(4, 0): 1}), BiPoly({(0, 4): 1, (0, 0): 2}))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- exact real evaluation ----------------------------------------------------

@@ -1,8 +1,13 @@
-from hypothesis import given
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotpoly
 from knotpoly._kernels import pure
+
+from support import naive_bi_mul_terms, naive_mul_terms
 
 uni_dicts = st.dictionaries(
     st.integers(-30, 30), st.integers(-999, 999).filter(bool), max_size=10
@@ -27,3 +32,137 @@ def test_pure_results_canonical(a, b, c, d):
 
 def test_backend_reported():
     assert knotpoly.kernel_backend() == "pure"
+
+
+# -- the packed multiply against the pair loop --------------------------------
+
+# The shorter operand's length straddles the crossover to the packed path,
+# with zero- and one-term operands among them; operands reach 64 terms.  A
+# product packs only when it is dense enough for the density guard, so
+# every operand fills its lattice but for a few holes.
+_CROSSOVER = pure._CROSSOVER
+_short_sizes = st.one_of(st.sampled_from((0, 1, _CROSSOVER - 1, _CROSSOVER, _CROSSOVER + 1)),
+                         st.integers(_CROSSOVER + 2, 64))
+
+
+def _long_sizes(short):
+    # 64 often: a crossover-sized operand packs only against a long one
+    return st.one_of(st.just(64), st.integers(short, 64))
+
+
+def _steps(draw, size):
+    """``size`` distinct steps: 0 up to ``size`` plus a few holes, less
+    the holes."""
+    holes = draw(st.integers(0, size // 4))
+    gone = draw(st.lists(st.integers(0, max(0, size + holes - 1)), min_size=holes,
+                         max_size=holes, unique=True))
+    return [i for i in range(size + holes) if i not in gone]
+
+
+def _lattice(draw):
+    """A negative or odd (half) offset and a stride of 1, 2 or 4."""
+    return draw(st.integers(-40, 40)), draw(st.sampled_from((1, 2, 4)))
+
+
+def _coefficients(draw, size, bits):
+    """``size`` coefficients up to 2^bits in size; or all of them ±2^bits,
+    so that the middle slots of a product come near the slot bound."""
+    if draw(st.booleans()):
+        return [draw(st.sampled_from((2**bits, -(2**bits))))] * size
+    return draw(st.lists(st.integers(-(2**bits), 2**bits).filter(bool), min_size=size,
+                         max_size=size))
+
+
+def _mirror(a):
+    """``a`` with alternating signs: times ``a`` it cancels in many slots, as
+    (1 + t)(1 - t) does in its middle one."""
+    return {k: (-1) ** i * a[k] for i, k in enumerate(sorted(a))}
+
+
+@st.composite
+def _uni_pairs(draw):
+    short = draw(_short_sizes)
+    bits = draw(st.sampled_from((3, 16, 64)))
+    out = []
+    for n in (short, draw(_long_sizes(short))):
+        offset, stride = _lattice(draw)
+        keys = [offset + stride * i for i in _steps(draw, n)]
+        out.append(dict(zip(keys, _coefficients(draw, n, bits))))
+    if draw(st.booleans()):
+        out[1] = _mirror(out[0])
+    return out
+
+
+@st.composite
+def _bi_pairs(draw):
+    short = draw(_short_sizes)
+    bits = draw(st.sampled_from((3, 16, 64)))
+    out = []
+    for n in (short, draw(_long_sizes(short))):
+        # the cells of a grid row by row, a row `cols` wide: each operand
+        # has its own lattices and width, y minima go down to -40, so the
+        # y-spans differ and the packing width W is the sum of both
+        cols = draw(st.one_of(st.sampled_from((1, max(1, n))), st.integers(1, max(1, n))))
+        (ox, sx), (oy, sy) = _lattice(draw), _lattice(draw)
+        keys = [(ox + sx * (i // cols), oy + sy * (i % cols)) for i in _steps(draw, n)]
+        out.append(dict(zip(keys, _coefficients(draw, n, bits))))
+    if draw(st.booleans()):
+        out[1] = _mirror(out[0])
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_uni_pairs())
+def test_mul_terms_matches_the_pair_loop(pair):
+    a, b = pair
+    assert pure.mul_terms(a, b) == naive_mul_terms(a, b)
+    assert pure.mul_terms(a, a) == naive_mul_terms(a, a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_bi_pairs())
+def test_bi_mul_terms_matches_the_pair_loop(pair):
+    a, b = pair
+    assert pure.bi_mul_terms(a, b) == naive_bi_mul_terms(a, b)
+    assert pure.bi_mul_terms(a, a) == naive_bi_mul_terms(a, a)
+
+
+@pytest.mark.parametrize("n", [_CROSSOVER - 1, _CROSSOVER, 40])
+def test_cancelled_slots_are_dropped(n):
+    # (1 + t + ... + t^(n-1)) (1 - t + ... ± t^(n-1)) = sum of ±t^(2j): every
+    # odd slot of the product cancels; and (1 + t)^n (1 - t)^n = (1 - t^2)^n
+    ones = {k: 1 for k in range(n)}
+    signs = {k: (-1) ** k for k in range(n)}
+    assert pure.mul_terms(ones, signs) == naive_mul_terms(ones, signs)
+    assert all(k % 2 == 0 for k in pure.mul_terms(ones, signs))
+    plus, minus = {0: 1}, {0: 1}
+    for _ in range(n):
+        plus, minus = naive_mul_terms(plus, {0: 1, 1: 1}), naive_mul_terms(minus, {0: 1, 1: -1})
+    assert pure.mul_terms(plus, minus) == naive_mul_terms(plus, minus)
+    assert len(pure.mul_terms(plus, minus)) == n + 1
+    bi_plus, bi_minus = ({(k, -k): c for k, c in p.items()} for p in (plus, minus))
+    assert pure.bi_mul_terms(bi_plus, bi_minus) == naive_bi_mul_terms(bi_plus, bi_minus)
+
+
+def _gapped(n, gap, key):
+    """n terms: n - 1 consecutive ones, then one past an exponent gap."""
+    return {key(k): k + 1 for k in range(n - 1)} | {key(gap): -1}
+
+
+@pytest.mark.parametrize("kernel, key", [
+    pytest.param(pure.mul_terms, lambda k: k, id="univariate"),
+    pytest.param(pure.bi_mul_terms, lambda k: (0, k), id="bivariate"),
+])
+@pytest.mark.parametrize("sizes", [(12, 12), (12, 16), (16, 12)])
+def test_product_memory_follows_the_terms_not_the_exponent_gaps(kernel, key, sizes):
+    # packing would spend a slot on every exponent step across the gap of
+    # the first operand: 10^6 of them, in both arities
+    a, b = _gapped(sizes[0], 10**6, key), {key(k): k + 1 for k in range(sizes[1])}
+    tracemalloc.start()
+    try:
+        product = kernel(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product == (naive_mul_terms if kernel is pure.mul_terms else naive_bi_mul_terms)(a, b)
+    assert peak < 1 << 20
