@@ -27,90 +27,59 @@ from .invariants import (
 from .qnumbers import qnum_closed, qpnum_closed
 
 
-# -- tables ----------------------------------------------------------------
+# -- the two tables --------------------------------------------------------
+# Builders are named inside the lambdas, so every call looks them up in this
+# module's globals, where a patched builder takes effect.
 
 
-def _rows_alexander_knots(max_index):
-    return [(f"m={m}", alexander_closed(2 * m + 1), False) for m in range(max_index + 1)]
+def _rows(label, polys, start=0):
+    """Rows ``("<label>=<i>", poly)`` of ``polys``, i counting from ``start``."""
+    return [(f"{label}={i}", poly) for i, poly in enumerate(polys, start)]
 
 
-def _rows_alexander_links(max_index):
-    return [(f"m={2 * k + 1}/2", alexander_closed(2 * k + 2), False) for k in range(max_index)]
-
-
-def _rows_unified(max_index):
-    seq = alexander_unified_rec(max(max_index, 1))
-    return [(f"s={i + 1}", seq[i], False) for i in range(max_index)]
-
-
-def _rows_homfly(max_index):
-    return [(f"m={m}", poly, True) for m, poly in enumerate(homfly_rec(max_index))]
-
-
-def _rows_qnum(max_index):
-    return [(f"n={n}", qnum_closed(n), False) for n in range(1, max_index + 1)]
-
-
-def _rows_qpnum(max_index):
-    return [(f"n={n}", qpnum_closed(n), False) for n in range(1, max_index + 1)]
-
-
-def _rows_cheb_first(max_index):
-    return [(f"n={n}", poly, False) for n, poly in enumerate(cheb_first_seq(max_index))]
-
-
-def _rows_cheb_second(max_index):
-    return [(f"n={n}", poly, False) for n, poly in enumerate(cheb_second_seq(max_index))]
-
-
+# each family: its (label, polynomial) rows for ``--max k``, and the text
+# order of a bivariate family (None for a univariate one)
 _TABLE_FAMILIES = {
-    "alexander-knots": _rows_alexander_knots,
-    "alexander-links": _rows_alexander_links,
-    "unified": _rows_unified,
-    "homfly": _rows_homfly,
-    "qnum": _rows_qnum,
-    "qpnum": _rows_qpnum,
-    "chebyshev-first": _rows_cheb_first,
-    "chebyshev-second": _rows_cheb_second,
+    "alexander-knots": (
+        lambda k: _rows("m", (alexander_closed(2 * m + 1) for m in range(k + 1))), None),
+    "alexander-links": (
+        lambda k: [(f"m={2 * j + 1}/2", alexander_closed(2 * j + 2)) for j in range(k)], None),
+    "unified": (lambda k: _rows("s", alexander_unified_rec(max(k, 1))[:k], 1), None),
+    "homfly": (lambda k: _rows("m", homfly_rec(k)), True),
+    "qnum": (lambda k: _rows("n", map(qnum_closed, range(1, k + 1)), 1), None),
+    "qpnum": (lambda k: _rows("n", map(qpnum_closed, range(1, k + 1)), 1), False),
+    "chebyshev-first": (lambda k: _rows("n", cheb_first_seq(k)), None),
+    "chebyshev-second": (lambda k: _rows("n", cheb_second_seq(k)), None),
+}
+
+# each single-polynomial command: its help, its index option with that
+# option's least value and help, its member as a function of the parsed
+# arguments, and the text order as for a table family
+_MEMBER_COMMANDS = {
+    "alexander": ("Alexander polynomial of the s-crossing member", "s", 1,
+                  "crossing number, s >= 1", lambda a: alexander_closed(a.s), None),
+    "homfly": ("HOMFLY polynomial of the degree-m knot member", "m", 0,
+               "degree index, m >= 0", lambda a: homfly_rec(a.m)[a.m], True),
+    "qnum": ("q-number of the integer n", "n", 0, None, lambda a: qnum_closed(a.n), None),
+    "qpnum": ("q,p-number of the integer n", "n", 0, None, lambda a: qpnum_closed(a.n), False),
+    "chebyshev": ("Chebyshev polynomial of the first or second kind", "n", 0, None,
+                  lambda a: cheb_first(a.n) if a.kind == "first" else cheb_second(a.n), None),
 }
 
 
-def _render_poly(poly, ascending):
-    if isinstance(poly, BiPoly):
-        return poly.render(ascending=ascending)
-    return poly.render()
+def _text(poly, ascending):
+    """The text form, in the order ``ascending`` when it is a bivariate one."""
+    return poly.render() if ascending is None else poly.render(ascending=ascending)
 
 
 # -- subcommand handlers -----------------------------------------------
 
 
-def _emit_poly(args, poly, ascending=True):
-    if args.format == "json":
-        print(poly.render("json"))
-    else:
-        print(_render_poly(poly, ascending))
+def _cmd_member(args):
+    *_, build, ascending = _MEMBER_COMMANDS[args.command]
+    poly = build(args)
+    print(poly.render("json") if args.format == "json" else _text(poly, ascending))
     return 0
-
-
-def _cmd_alexander(args):
-    return _emit_poly(args, alexander_closed(args.s))
-
-
-def _cmd_homfly(args):
-    return _emit_poly(args, homfly_rec(args.m)[args.m], ascending=True)
-
-
-def _cmd_qnum(args):
-    return _emit_poly(args, qnum_closed(args.n))
-
-
-def _cmd_qpnum(args):
-    return _emit_poly(args, qpnum_closed(args.n), ascending=False)
-
-
-def _cmd_chebyshev(args):
-    poly = cheb_first(args.n) if args.kind == "first" else cheb_second(args.n)
-    return _emit_poly(args, poly)
 
 
 # each family: the (c1, c2) of a builder's recurrence, as BiPoly values,
@@ -171,22 +140,14 @@ def _cmd_verify(args):
 
 
 def _cmd_table(args):
-    rows = _TABLE_FAMILIES[args.family](args.max)
+    rows_for, ascending = _TABLE_FAMILIES[args.family]
+    rows = rows_for(args.max)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "rows": [
-                        {"label": label, "poly": poly.to_json_dict()}
-                        for label, poly, _ in rows
-                    ],
-                }
-            )
-        )
+        json_rows = [{"label": label, "poly": poly.to_json_dict()} for label, poly in rows]
+        print(json.dumps({"family": args.family, "rows": json_rows}))
     else:
-        for label, poly, ascending in rows:
-            print(f"{label}: {_render_poly(poly, ascending)}")
+        for label, poly in rows:
+            print(f"{label}: {_text(poly, ascending)}")
     return 0
 
 
@@ -221,32 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser(
-        "alexander", parents=[fmt], help="Alexander polynomial of the s-crossing member"
-    )
-    p.add_argument("--s", type=_int_at_least(1), required=True, help="crossing number, s >= 1")
-    p.set_defaults(func=_cmd_alexander)
-
-    p = sub.add_parser(
-        "homfly", parents=[fmt], help="HOMFLY polynomial of the degree-m knot member"
-    )
-    p.add_argument("--m", type=_int_at_least(0), required=True, help="degree index, m >= 0")
-    p.set_defaults(func=_cmd_homfly)
-
-    p = sub.add_parser("qnum", parents=[fmt], help="q-number of the integer n")
-    p.add_argument("--n", type=_int_at_least(0), required=True)
-    p.set_defaults(func=_cmd_qnum)
-
-    p = sub.add_parser("qpnum", parents=[fmt], help="q,p-number of the integer n")
-    p.add_argument("--n", type=_int_at_least(0), required=True)
-    p.set_defaults(func=_cmd_qpnum)
-
-    p = sub.add_parser(
-        "chebyshev", parents=[fmt], help="Chebyshev polynomial of the first or second kind"
-    )
-    p.add_argument("--kind", choices=("first", "second"), required=True)
-    p.add_argument("--n", type=_int_at_least(0), required=True)
-    p.set_defaults(func=_cmd_chebyshev)
+    for name, (text, option, least, option_help, _, _) in _MEMBER_COMMANDS.items():
+        p = sub.add_parser(name, parents=[fmt], help=text)
+        if name == "chebyshev":
+            p.add_argument("--kind", choices=("first", "second"), required=True)
+        p.add_argument(f"--{option}", type=_int_at_least(least), required=True, help=option_help)
+        p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser(
         "skein-derive",

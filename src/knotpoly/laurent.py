@@ -356,15 +356,15 @@ class _TermPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        result = {self._UNIT: 1}
+        result = None   # the unit, until the first factor is taken as it is
         base = self.terms
         while k:
             if k & 1:
-                result = mul(result, base)
+                result = base if result is None else mul(result, base)
             k >>= 1
             if k:
                 base = mul(base, base)
-        return self._like(result)
+        return self._like({self._UNIT: 1} if result is None else result)
 
     def _render(self, style: str, descending: bool, body) -> str:
         """``render`` for either arity: the JSON form, or the terms in key

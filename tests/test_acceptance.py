@@ -194,24 +194,13 @@ def test_criterion_4_homfly_bridge_and_skein_pairs():
 
 
 def test_criterion_5_skein_verification():
-    half_diff = LaurentPoly.from_terms(
-        [(Fraction(1, 2), 1), (Fraction(-1, 2), -1)], "t"
-    )
-    unified = alexander_unified_rec(200)
-    assert verify_skein(unified, half_diff, 1).all_ok
-
-    # consecutive knot members skip the interleaved links, so they obey
-    # the composed coefficients derived from b1 = az, b2 = a^2
+    # the unified sequence and its negative control are registry rows
+    # above; consecutive knot members skip the interleaved links, so they
+    # obey the composed coefficients derived from b1 = az, b2 = a^2
     a, z = BiPoly.gens(("a", "z"))
     c1, c2 = compose_skein(RadicalExpr(a * z), a**2)
-    homfly_report = verify_skein(homfly_rec(100), c1, c2)
-    assert homfly_report.all_ok
-
-    # negative control: a perturbed coefficient must be caught
-    bad = verify_skein(unified[:10], half_diff, 2)
-    assert not bad.all_ok
-    assert not bad.checks[0].ok
-    print("criterion 5 (skein verification with negative control): PASS")
+    assert verify_skein(homfly_rec(100), c1, c2).all_ok
+    print("criterion 5 (skein verification): PASS")
 
 
 def test_criterion_7_forced_evaluations():

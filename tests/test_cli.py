@@ -197,6 +197,72 @@ class TestJsonPolynomials:
         assert poly.render("json") == text
 
 
+
+# every single-polynomial command and every table family, at a small index,
+# with the text order of its table entry
+SURFACE = [
+    pytest.param([name, *(["--kind", "second"] if name == "chebyshev" else []),
+                  f"--{option}", str(least + 3)], ascending, id=name)
+    for name, (_, option, least, _, _, ascending) in cli._MEMBER_COMMANDS.items()
+] + [
+    pytest.param(["table", family, "--max", "3"], ascending, id=f"table-{family}")
+    for family, (_, ascending) in cli._TABLE_FAMILIES.items()
+]
+
+
+def _parse(obj):
+    return (BiPoly if "variables" in obj else LaurentPoly).from_json_dict(obj)
+
+
+def _text(poly, ascending):
+    return poly.render() if ascending is None else poly.render(ascending=ascending)
+
+
+@pytest.mark.parametrize("argv, ascending", SURFACE)
+def test_text_and_json_agree_and_json_round_trips(capsys, argv, ascending):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    if argv[0] == "table":
+        rows = [(row["label"] + ": ", _parse(row["poly"])) for row in payload["rows"]]
+        assert rows
+        rebuilt = json.dumps({"family": argv[1], "rows": [
+            {"label": row["label"], "poly": json.loads(poly.render("json"))}
+            for row, (_, poly) in zip(payload["rows"], rows)]})
+    else:
+        rows = [("", _parse(payload))]
+        rebuilt = rows[0][1].render("json")
+    assert out == rebuilt + "\n"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "".join(f"{label}{_text(poly, ascending)}\n" for label, poly in rows)
+
+
+# one line each, with the width fixed wide: argparse's help sections vary
+# across Python versions, its usage lines do not
+USAGE = {
+    "": "usage: knotpoly [-h] command ...",
+    "alexander": "usage: knotpoly alexander [-h] [--format {text,json}] --s S",
+    "homfly": "usage: knotpoly homfly [-h] [--format {text,json}] --m M",
+    "qnum": "usage: knotpoly qnum [-h] [--format {text,json}] --n N",
+    "qpnum": "usage: knotpoly qpnum [-h] [--format {text,json}] --n N",
+    "chebyshev": "usage: knotpoly chebyshev [-h] [--format {text,json}] --kind {first,second} --n N",
+    "skein-derive": "usage: knotpoly skein-derive [-h] [--format {text,json}] --family {classical,rx,az}",
+    "verify": "usage: knotpoly verify [-h] [--format {text,json}] [--max-n MAX_N] {"
+              + ",".join(identities.SUITES) + "}",
+    "table": "usage: knotpoly table [-h] [--format {text,json}] --max MAX {"
+             + ",".join(cli._TABLE_FAMILIES) + "}",
+}
+
+
+@pytest.mark.parametrize("command", list(USAGE), ids=lambda c: c or "knotpoly")
+def test_usage_line(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "1000")
+    code, out, _ = run_cli(capsys, *filter(None, [command]), "--help")
+    assert code == 0
+    assert out.splitlines()[0] == USAGE[command]
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "knotpoly", "alexander", "--s", "5"],

@@ -36,3 +36,15 @@ def test_shell_command_runs(line, capsys):
     out = capsys.readouterr().out
     if argv[0] in PRINTS_COMMENT:
         assert out == comment.strip().strip('"') + "\n"
+
+
+def _named_list(heading):
+    """The backticked names of the README sentence that starts with ``heading``."""
+    text = re.search(rf"^{re.escape(heading)} (.*?)\.\s", README, re.M | re.S).group(1)
+    return re.findall(r"`([\w-]+)`", text)
+
+
+def test_lists_match_the_cli():
+    assert _named_list("`table` families:") == list(cli._TABLE_FAMILIES)
+    assert _named_list("`verify` suites:") == list(identities.SUITES)
+    assert {shlex.split(line)[1] for line in COMMANDS} >= set(cli._MEMBER_COMMANDS)

@@ -1,6 +1,7 @@
 """Contracts LaurentPoly and BiPoly share: equality, hashing, strict
 construction and the ring operators' operand rule."""
 
+import functools
 import operator
 
 import pytest
@@ -27,6 +28,7 @@ from knotpoly import (
     qpnum_rec,
     qpnum_rec_seq,
 )
+from knotpoly import bivar, laurent
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
@@ -262,3 +264,19 @@ def test_variable_names_are_checked(build, message):
 def test_builders_use_the_paper_names(build, names):
     for value in build():
         assert (value.variable if isinstance(value, LaurentPoly) else value.variables) == names
+
+
+@pytest.mark.parametrize("module, kernel, poly", [
+    (laurent, "mul_terms", LaurentPoly([(2, 1), (0, -3), (-1, 2)])),
+    (bivar, "bi_mul_terms", BiPoly([((2, 0), 1), ((0, 2), -3), ((-1, 1), 2)])),
+], ids=["laurent", "bivar"])
+@pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (8, 3), (13, 5)])
+def test_power_makes_no_product_with_the_unit(monkeypatch, module, kernel, poly, k, products):
+    # square-and-multiply takes its first factor as it is: one squaring per
+    # bit below the top one and one product per further set bit
+    mul, calls = getattr(module, kernel), []
+    monkeypatch.setattr(module, kernel, lambda a, b: calls.append(1) or mul(a, b))
+    power = poly ** k
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert power == functools.reduce(operator.mul, [poly] * k, 1)
