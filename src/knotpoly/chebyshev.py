@@ -47,7 +47,7 @@ def cheb_second(n: int) -> LaurentPoly:
 
 def cheb_second_qp(n: int) -> BiPoly:
     """Two-variable second kind: equal to the (n+1)-st q,p-number."""
-    return qpnum_closed(n + 1)
+    return qpnum_closed(_check_index(n) + 1)
 
 
 def cheb_second_rx(n: int) -> BiPoly:

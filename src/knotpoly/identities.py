@@ -19,14 +19,17 @@ import cmath
 import math
 from typing import Callable, NamedTuple
 
-from .chebyshev import cheb_first_seq, cheb_second_seq
+from .bivar import BiPoly, RadicalExpr
+from .chebyshev import cheb_first_seq, cheb_second_qp, cheb_second_seq
 from .invariants import (
     _HOMFLY_IMAGES,
     alexander_closed,
+    alexander_from_qnum,
     alexander_knot_rec,
     alexander_qp,
     alexander_rx_seq,
     alexander_unified_rec,
+    compose_skein,
     homfly_rec,
     verify_skein,
 )
@@ -42,6 +45,15 @@ _T = LaurentPoly.gen("t")
 _T_INV = LaurentPoly._make("t", {-2: 1})
 _T_PLUS_INV = LaurentPoly._make("t", {2: 1, -2: 1})
 _HALF_DIFF = LaurentPoly._make("t", {1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
+_Q_PLUS_P = BiPoly._make(("q", "p"), {(2, 0): 1, (0, 2): 1})
+_QP = BiPoly._make(("q", "p"), {(2, 2): 1})
+_AZ = BiPoly._make(("a", "z"), {(2, 2): 1})
+_A_SQ = BiPoly._make(("a", "z"), {(4, 0): 1})
+
+
+def _rx_lift(v, k):
+    """r^k·v(x) for a polynomial v in x."""
+    return BiPoly._make(("r", "x"), {(2 * k, e): c for e, c in v.terms.items()})
 
 
 class Identity(NamedTuple):
@@ -92,6 +104,28 @@ IDENTITIES = (
                               (r * cmath.exp(1j * th), r * cmath.exp(-1j * th)),
                               r ** (n - 1) * (math.sin(n * th) / math.sin(th)))
                              for th in _THETAS for r in _RADII], "numeric", relative=True),
+    Identity("unified recurrence vs closed form", "identity-lattice", 1,
+             lambda seq, n: seq(alexander_unified_rec)[n - 1],
+             lambda seq, n: alexander_closed(n)),
+    Identity("knot member via q-numbers", "identity-lattice", 0,
+             lambda seq, n: alexander_from_qnum(n),
+             lambda seq, n: alexander_closed(2 * n + 1)),
+    Identity("second kind at t + 1/t as q-number", "identity-lattice", 0,
+             lambda seq, n: seq(cheb_second_seq)[n].compose(_T_PLUS_INV),
+             lambda seq, n: qnum_closed(n + 1)),
+    Identity("q,p second kind at (t, 1/t) as q-number", "identity-lattice", 0,
+             lambda seq, n: cheb_second_qp(n).substitute(_T, _T_INV),
+             lambda seq, n: qnum_closed(n + 1)),
+    Identity("q,p knot member recurrence", "identity-lattice", 2,
+             lambda seq, n: alexander_qp(n),
+             lambda seq, n: _Q_PLUS_P * alexander_qp(n - 1) - _QP * alexander_qp(n - 2)),
+    Identity("r,x knot member as r^n(V_n - r V_(n-1))", "identity-lattice", 1,
+             lambda seq, n: seq(alexander_rx_seq)[n],
+             lambda seq, n: _rx_lift(seq(cheb_second_seq)[n], n)
+             - _rx_lift(seq(cheb_second_seq)[n - 1], n + 1)),
+    Identity("HOMFLY knot skein triple", "identity-lattice", 2,
+             lambda seq, n: seq(homfly_rec),
+             lambda seq, n: compose_skein(RadicalExpr(_AZ), _A_SQ), "skein"),
 )
 
 SUITES = tuple(dict.fromkeys(ident.suite for ident in IDENTITIES))

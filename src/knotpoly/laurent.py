@@ -81,8 +81,8 @@ def _json_terms(obj, fields):
     naming the field; the constructor still checks the values' types."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
-    if obj.get("den") != 2:
-        raise ValueError("expected an exponent denominator of 2")
+    if type(obj.get("den")) is not int or obj["den"] != 2:
+        raise ValueError('field "den" is not the int 2')
     if not isinstance(obj.get("terms"), list):
         raise ValueError('field "terms" is missing or not a list')
     rows = []

@@ -1,7 +1,9 @@
-"""Acceptance suite: one test per release criterion, at full scale.
+"""Acceptance suite: every release criterion, at full scale.
 
-Each test prints a single PASS line when it completes (visible with
-``pytest -s``); a failing criterion shows up as the test failure itself.
+The identities of criteria 2-6 are rows of one registry test; every
+other criterion test prints a single PASS line when it completes
+(visible with ``pytest -s``).  A failing criterion shows up as the test
+failure itself.
 """
 
 from fractions import Fraction
@@ -11,20 +13,12 @@ from hypothesis import given, settings
 
 from knotpoly import (
     BiPoly,
-    LaurentPoly,
     RadicalExpr,
     alexander_closed,
-    alexander_from_qnum,
-    alexander_qp,
-    alexander_rx,
-    alexander_unified_rec,
-    cheb_second_seq,
     compose_skein,
     derive_skein,
     homfly_from_alexander,
     homfly_rec,
-    qnum_closed,
-    verify_skein,
 )
 from knotpoly import identities
 from knotpoly.cli import run
@@ -101,6 +95,7 @@ REGISTRY_RUNS = [
     ("homfly-bridge", 100, 100),        # criterion 4
     ("unified-skein", 200, 198),        # criterion 5
     ("trig", 50, 1200),                 # criterion 6, at 1e-9
+    ("identity-lattice", 200, 1401),    # criteria 2, 3 and 5
 ]
 
 
@@ -109,11 +104,25 @@ def test_criteria_2_to_6_registry(suite, max_n, expected_total):
     assert identities.run(suite, max_n) == (expected_total, expected_total, [])
 
 
-# negative controls for the skein and numeric modes (test_cli covers exact)
+def _perturbation(ident):
+    """The side to break and how: rhs + 1 at ``start + 1`` for an exact
+    entry, b2 + 1 for a skein entry, lhs + 1 at ``start + 1`` for a
+    numeric one."""
+    if ident.mode == "skein":
+        return "rhs", lambda side, n: (side[0], side[1] + 1)
+    at = ident.start + 1
+    return "rhs" if ident.mode == "exact" else "lhs", lambda side, n: side + int(n == at)
+
+
+# negative controls: every entry reports its own failure, by name and,
+# outside the skein mode, by index; the first two rows also pin the
+# failure line of the skein and numeric modes (test_cli pins exact)
 @pytest.mark.parametrize("name, field, perturb, failure", [
     ("unified skein triple", "rhs", lambda side, n: (side[0], 2),
      "unified skein triple n=3: residue -1"),
     ("q-number", "lhs", lambda side, n: side + int(n == 2), "q-number n=2: theta=0.3 error 1.00e+00"),
+    *(pytest.param(ident.name, *_perturbation(ident), None, id=ident.name)
+      for ident in identities.IDENTITIES),
 ])
 def test_registry_catches_a_perturbed_side(monkeypatch, name, field, perturb, failure):
     ident = next(i for i in identities.IDENTITIES if i.name == name)
@@ -121,51 +130,10 @@ def test_registry_catches_a_perturbed_side(monkeypatch, name, field, perturb, fa
     broken = ident._replace(**{field: lambda seq, n: perturb(side(seq, n), n)})
     monkeypatch.setattr(identities, "IDENTITIES", (broken,))
     passed, total, failures = identities.run(ident.suite, 4)
-    assert passed < total and failures[0] == failure
-
-
-def test_criterion_2_recurrence_vs_closed_forms():
-    for i, poly in enumerate(alexander_unified_rec(200)):
-        assert poly == alexander_closed(i + 1)
-    print("criterion 2 (recurrence vs closed-form oracles): PASS")
-
-
-def test_criterion_3_identity_lattice():
-    t_plus_inv = LaurentPoly.from_terms([(1, 1), (-1, 1)], "t")
-    t = LaurentPoly.gen("t")
-    t_inv = LaurentPoly.from_terms([(-1, 1)], "t")
-    q, p = BiPoly.gens(("q", "p"))
-    r, x = BiPoly.gens(("r", "x"))
-
-    # knot members as consecutive differences of q-numbers
-    for m in range(101):
-        assert alexander_from_qnum(m) == alexander_closed(2 * m + 1)
-
-    # composition with t + 1/t gives the quantum integers
-    second = cheb_second_seq(200)
-    for n in range(201):
-        assert second[n].compose(t_plus_inv) == qnum_closed(n + 1)
-
-    # the two-variable second kind specialises to the same composition
-    from knotpoly import cheb_second_qp
-
-    for n in range(201):
-        assert cheb_second_qp(n).substitute(t, t_inv) == second[n].compose(t_plus_inv)
-
-    # two-variable form against its recurrence and seeds
-    prev, cur = BiPoly.one(("q", "p")), q - q * p + p
-    assert alexander_qp(0) == prev and alexander_qp(1) == cur
-    for n in range(2, 101):
-        prev, cur = cur, (q + p) * cur - (q * p) * prev
-        assert alexander_qp(n) == cur
-
-    # scale/trace form against the factorised Chebyshev construction
-    for n in range(1, 101):
-        vn = BiPoly._make(("r", "x"), {(0, e): c for e, c in second[n].terms.items()})
-        vp = BiPoly._make(("r", "x"), {(0, e): c for e, c in second[n - 1].terms.items()})
-        assert alexander_rx(n) == r**n * (vn - r * vp)
-
-    print("criterion 3 (identity lattice): PASS")
+    index = "" if ident.mode == "skein" else f"{ident.start + 1}: "
+    assert passed < total
+    assert all(line.startswith(f"{name} n={index}") for line in failures)
+    assert failure is None or failures[0] == failure
 
 
 def test_criterion_4_homfly_bridge_and_skein_pairs():
@@ -191,16 +159,6 @@ def test_criterion_4_homfly_bridge_and_skein_pairs():
         assert coeffs.b2 == b2_expected
         assert compose_skein(coeffs.b1, coeffs.b2) == (c1, c2)
     print("criterion 4 (HOMFLY bridge and skein coefficient pairs): PASS")
-
-
-def test_criterion_5_skein_verification():
-    # the unified sequence and its negative control are registry rows
-    # above; consecutive knot members skip the interleaved links, so they
-    # obey the composed coefficients derived from b1 = az, b2 = a^2
-    a, z = BiPoly.gens(("a", "z"))
-    c1, c2 = compose_skein(RadicalExpr(a * z), a**2)
-    assert verify_skein(homfly_rec(100), c1, c2).all_ok
-    print("criterion 5 (skein verification): PASS")
 
 
 def test_criterion_7_forced_evaluations():

@@ -2,20 +2,16 @@ import math
 
 from knotpoly import (
     BiPoly,
-    LaurentPoly,
     cheb_first,
     cheb_first_seq,
     cheb_second,
     cheb_second_qp,
     cheb_second_rx,
     cheb_second_seq,
-    qnum_closed,
     qpnum_closed,
 )
 
 q, p = BiPoly.gens(("q", "p"))
-t = LaurentPoly.gen("t")
-t_plus_inv = LaurentPoly.from_terms([(1, 1), (-1, 1)], "t")
 
 
 class TestFirstKind:
@@ -44,18 +40,8 @@ class TestSecondKind:
                 assert poly.leading_coefficient() == 1
                 assert poly.degree() == n
 
-    def test_difference_identity(self):
-        first = cheb_first_seq(60)
-        second = cheb_second_seq(60)
-        for n in range(2, 61):
-            assert first[n] == second[n] - second[n - 2]
-
 
 class TestBridges:
-    def test_composition_gives_quantum_integers(self):
-        for n in range(41):
-            assert cheb_second(n).compose(t_plus_inv) == qnum_closed(n + 1)
-
     def test_trig_values(self):
         for n in range(1, 13):
             tn = cheb_first(n)
@@ -76,20 +62,6 @@ class TestTwoVariable:
     def test_qp_equals_quantum_integer(self):
         for n in range(21):
             assert cheb_second_qp(n) == qpnum_closed(n + 1)
-
-    def test_qp_recurrence(self):
-        qp = q * p
-        for n in range(1, 31):
-            lhs = cheb_second_qp(n + 1)
-            rhs = (q + p) * cheb_second_qp(n) - qp * cheb_second_qp(n - 1)
-            assert lhs == rhs
-
-    def test_qp_specialisation_matches_composition(self):
-        t_inv = LaurentPoly.from_terms([(-1, 1)], "t")
-        for n in range(21):
-            via_sub = cheb_second_qp(n).substitute(t, t_inv)
-            via_comp = cheb_second(n).compose(t_plus_inv)
-            assert via_sub == via_comp
 
     def test_rx_values(self):
         r, x = BiPoly.gens(("r", "x"))

@@ -1,22 +1,15 @@
-import cmath
-import math
-
 import pytest
 
 from knotpoly import (
     BiPoly,
-    LaurentPoly,
     qnum_closed,
     qnum_rec,
-    qnum_rec_seq,
     qpnum_closed,
     qpnum_rec,
     qpnum_rec_seq,
 )
 
 q, p = BiPoly.gens(("q", "p"))
-t = LaurentPoly.gen("t")
-t_inv = LaurentPoly.from_terms([(-1, 1)], "t")
 
 
 class TestClosedForms:
@@ -56,40 +49,8 @@ class TestRecurrences:
         assert qpnum_rec(2) == q + p
         assert qpnum_rec(5) == qpnum_closed(5)
 
-    def test_sequences_match_closed_forms(self):
-        for n, poly in enumerate(qnum_rec_seq(60)):
-            assert poly == qnum_closed(n)
-        for n, poly in enumerate(qpnum_rec_seq(60)):
-            assert poly == qpnum_closed(n)
-
 
 class TestIdentities:
-    def test_specialization_to_one_parameter(self):
-        for n in range(31):
-            got = qpnum_closed(n).substitute(t, t_inv)
-            assert got == qnum_closed(n)
-
     def test_classical_limit_at_one(self):
         for n in range(41):
             assert qnum_closed(n).eval_complex(1) == n
-
-    def test_trig_ratio(self):
-        for n in range(1, 13):
-            poly = qnum_closed(n)
-            for theta in (0.3, 0.7, 1.1, 2.0):
-                got = poly.eval_complex(cmath.exp(1j * theta))
-                want = math.sin(n * theta) / math.sin(theta)
-                assert abs(got - want) <= 1e-9
-
-    def test_scaled_trig_ratio(self):
-        for n in range(1, 13):
-            poly = qpnum_closed(n)
-            for theta in (0.3, 0.7, 1.1, 2.0):
-                for radius in (0.5, 1.0, 2.0):
-                    point = (
-                        radius * cmath.exp(1j * theta),
-                        radius * cmath.exp(-1j * theta),
-                    )
-                    want = radius ** (n - 1) * math.sin(n * theta) / math.sin(theta)
-                    got = poly.eval_complex(point)
-                    assert abs(got - want) <= 1e-9 * max(1.0, abs(want))

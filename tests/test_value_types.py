@@ -3,6 +3,7 @@ construction and the ring operators' operand rule."""
 
 import functools
 import operator
+import types
 
 import pytest
 
@@ -28,7 +29,7 @@ from knotpoly import (
     qpnum_rec,
     qpnum_rec_seq,
 )
-from knotpoly import bivar, laurent
+from knotpoly import bivar, chebyshev, invariants, laurent, qnumbers
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
@@ -140,6 +141,8 @@ _BI = {"den": 2, "terms": [{"numA": 2, "numB": 0, "coeff": "1"}]}
                  id="bivar-no-numB"),
     pytest.param(BiPoly, {"den": 2, "terms": [{"numA": 2, "numB": 0}]}, "coeff",
                  id="bivar-no-coeff"),
+    pytest.param(LaurentPoly, dict(_UNI, den=2.0), "den", id="laurent-float-den"),
+    pytest.param(BiPoly, dict(_BI, den=2.0), "den", id="bivar-float-den"),
 ])
 def test_from_json_dict_names_the_malformed_field(cls, obj, field):
     with pytest.raises(ValueError, match=f'"{field}"'):
@@ -238,6 +241,23 @@ _NOT_A_PAIR = '"variables" is not a pair of strings'
 def test_variable_names_are_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+# every public builder that takes an index, as the three family modules
+# export it
+INDEX_BUILDERS = [
+    getattr(module, name) for module in (invariants, chebyshev, qnumbers)
+    for name in module.__all__
+    if isinstance(getattr(module, name), types.FunctionType)
+    and name not in {"derive_skein", "compose_skein", "verify_skein"}
+]
+
+
+@pytest.mark.parametrize("index", [-1, True])
+@pytest.mark.parametrize("build", INDEX_BUILDERS, ids=lambda build: build.__name__)
+def test_builders_refuse_a_negative_or_bool_index(build, index):
+    with pytest.raises(ValueError):
+        build(index)
 
 
 # the builders take no names: each family lives in the paper's variables,
