@@ -34,6 +34,7 @@ from .invariants import (
     alexander_unified_rec,
     compose_skein,
     derive_skein,
+    homfly_closed,
     homfly_from_alexander,
     homfly_rec,
     verify_skein,
@@ -74,6 +75,7 @@ __all__ = [
     "compose_skein",
     "derive_skein",
     "errors",
+    "homfly_closed",
     "homfly_from_alexander",
     "homfly_rec",
     "kernel_backend",

@@ -223,6 +223,14 @@ class BiPoly(_TermPoly):
             ],
         }
 
+    def _json_text(self) -> str:
+        # ``json.dumps(self.to_json_dict())``, written from the terms: the
+        # numerators and the digit strings need no escaping, the names do
+        body = ", ".join([f'{{"numA": {na}, "numB": {nb}, "coeff": "{coeff}"}}'
+                          for (na, nb), coeff in sorted(self.terms.items(), reverse=True)])
+        names = json.dumps(list(self.variables))
+        return f'{{"variables": {names}, "den": 2, "terms": [{body}]}}'
+
     @classmethod
     def from_json_dict(cls, obj: dict) -> "BiPoly":
         rows = _json_terms(obj, ("numA", "numB"))

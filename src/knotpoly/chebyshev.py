@@ -30,8 +30,29 @@ def cheb_first_seq(n_max: int) -> list[LaurentPoly]:
     return _three_term((LaurentPoly.constant(2, "x"), x), x, -1, n_max + 1)
 
 
+def _second_kind(n: int):
+    """The terms c·x^d of V_n as pairs (d, c), top degree first:
+    c = (-1)^k C(n-k, k) at d = n - 2k, each coefficient found from the one
+    before (Mason and Handscomb, *Chebyshev Polynomials*, 2003).  None for
+    n < 0."""
+    if n < 0:
+        return
+    coeff = 1
+    yield n, coeff
+    for k in range(1, n // 2 + 1):
+        coeff = -coeff * (n - 2 * k + 2) * (n - 2 * k + 1) // (k * (n - k + 1))
+        yield n - 2 * k, coeff
+
+
 def cheb_first(n: int) -> LaurentPoly:
-    return cheb_first_seq(n)[n]
+    """T_n = V_n - V_(n-2) from the binomial form of the second kind, with
+    T_0 = 2; it equals ``cheb_first_seq(n)[n]``."""
+    if _check_index(n) == 0:
+        return LaurentPoly._make("x", {0: 2})
+    terms = {2 * d: c for d, c in _second_kind(n)}
+    for d, c in _second_kind(n - 2):
+        terms[2 * d] -= c  # never zero: the two terms have opposite signs
+    return LaurentPoly._make("x", terms)
 
 
 def cheb_second_seq(n_max: int) -> list[LaurentPoly]:
@@ -42,7 +63,8 @@ def cheb_second_seq(n_max: int) -> list[LaurentPoly]:
 
 
 def cheb_second(n: int) -> LaurentPoly:
-    return cheb_second_seq(n)[n]
+    """V_n from its binomial form; it equals ``cheb_second_seq(n)[n]``."""
+    return LaurentPoly._make("x", {2 * d: c for d, c in _second_kind(_check_index(n))})
 
 
 def cheb_second_qp(n: int) -> BiPoly:
@@ -52,6 +74,4 @@ def cheb_second_qp(n: int) -> BiPoly:
 
 def cheb_second_rx(n: int) -> BiPoly:
     """Second kind with the scale variable factored out: r^n V_n(x)."""
-    _check_index(n)
-    vn = cheb_second(n)
-    return BiPoly._make(("r", "x"), {(2 * n, num): c for num, c in vn.terms.items()})
+    return BiPoly._make(("r", "x"), {(2 * n, 2 * d): c for d, c in _second_kind(_check_index(n))})

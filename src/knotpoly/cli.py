@@ -22,6 +22,7 @@ from .invariants import (
     alexander_unified_rec,
     compose_skein,
     derive_skein,
+    homfly_closed,
     homfly_rec,
 )
 from .qnumbers import qnum_closed, qpnum_closed
@@ -59,7 +60,7 @@ _MEMBER_COMMANDS = {
     "alexander": ("Alexander polynomial of the s-crossing member", "s", 1,
                   "crossing number, s >= 1", lambda a: alexander_closed(a.s), None),
     "homfly": ("HOMFLY polynomial of the degree-m knot member", "m", 0,
-               "degree index, m >= 0", lambda a: homfly_rec(a.m)[a.m], True),
+               "degree index, m >= 0", lambda a: homfly_closed(a.m), True),
     "qnum": ("q-number of the integer n", "n", 0, None, lambda a: qnum_closed(a.n), None),
     "qpnum": ("q,p-number of the integer n", "n", 0, None, lambda a: qpnum_closed(a.n), False),
     "chebyshev": ("Chebyshev polynomial of the first or second kind", "n", 0, None,
@@ -143,8 +144,11 @@ def _cmd_table(args):
     rows_for, ascending = _TABLE_FAMILIES[args.family]
     rows = rows_for(args.max)
     if args.format == "json":
-        json_rows = [{"label": label, "poly": poly.to_json_dict()} for label, poly in rows]
-        print(json.dumps({"family": args.family, "rows": json_rows}))
+        # json.dumps of the schema, joined as one string: only the family and
+        # the labels need escaping, and each polynomial writes its own
+        json_rows = ", ".join([f'{{"label": {json.dumps(label)}, "poly": {poly.render("json")}}}'
+                               for label, poly in rows])
+        print(f'{{"family": {json.dumps(args.family)}, "rows": [{json_rows}]}}')
     else:
         for label, poly in rows:
             print(f"{label}: {_text(poly, ascending)}")

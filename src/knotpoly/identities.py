@@ -20,16 +20,18 @@ import math
 from typing import Callable, NamedTuple
 
 from .bivar import BiPoly, RadicalExpr
-from .chebyshev import cheb_first_seq, cheb_second_qp, cheb_second_seq
+from .chebyshev import cheb_first, cheb_first_seq, cheb_second, cheb_second_qp, cheb_second_seq
 from .invariants import (
     _HOMFLY_IMAGES,
     alexander_closed,
     alexander_from_qnum,
     alexander_knot_rec,
     alexander_qp,
+    alexander_rx,
     alexander_rx_seq,
     alexander_unified_rec,
     compose_skein,
+    homfly_closed,
     homfly_rec,
     verify_skein,
 )
@@ -126,6 +128,14 @@ IDENTITIES = (
     Identity("HOMFLY knot skein triple", "identity-lattice", 2,
              lambda seq, n: seq(homfly_rec),
              lambda seq, n: compose_skein(RadicalExpr(_AZ), _A_SQ), "skein"),
+    Identity("first kind recurrence vs binomial form", "closed-forms", 0,
+             lambda seq, n: seq(cheb_first_seq)[n], lambda seq, n: cheb_first(n)),
+    Identity("second kind recurrence vs binomial form", "closed-forms", 0,
+             lambda seq, n: seq(cheb_second_seq)[n], lambda seq, n: cheb_second(n)),
+    Identity("r,x knot member recurrence vs binomial form", "closed-forms", 0,
+             lambda seq, n: seq(alexander_rx_seq)[n], lambda seq, n: alexander_rx(n)),
+    Identity("HOMFLY recurrence vs binomial form", "closed-forms", 0,
+             lambda seq, n: seq(homfly_rec)[n], lambda seq, n: homfly_closed(n)),
 )
 
 SUITES = tuple(dict.fromkeys(ident.suite for ident in IDENTITIES))

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
 
 from .bivar import BiPoly, RadicalExpr
+from .chebyshev import _second_kind
 from .errors import NonPolynomialB2
 from .laurent import LaurentPoly
 from .qnumbers import _check_index, _three_term, qnum_closed, qpnum_closed
@@ -40,6 +42,7 @@ __all__ = [
     "alexander_rx",
     "alexander_rx_seq",
     "homfly_rec",
+    "homfly_closed",
     "homfly_from_alexander",
     "derive_skein",
     "compose_skein",
@@ -100,7 +103,7 @@ def alexander_closed(index) -> LaurentPoly:
     Accepts an int s or a TorusIndex.
     """
     s = _as_s(index)
-    return LaurentPoly._make("t", {s - 1 - 2 * i: (-1) ** i for i in range(s)})
+    return LaurentPoly._make("t", dict(zip(range(s - 1, -s, -2), cycle((1, -1)))))
 
 
 def alexander_unified_rec(s_max: int) -> list[LaurentPoly]:
@@ -149,8 +152,11 @@ def alexander_rx_seq(n_max: int) -> list[BiPoly]:
 
 
 def alexander_rx(n: int) -> BiPoly:
-    """The member A_n of :func:`alexander_rx_seq`."""
-    return alexander_rx_seq(n)[n]
+    """The member A_n of :func:`alexander_rx_seq`, written directly as
+    A_n = r^n·V_n(x) - r^(n+1)·V_(n-1)(x) from the binomial form of V."""
+    terms = {(2 * n, 2 * d): c for d, c in _second_kind(_check_index(n))}
+    terms.update({(2 * n + 2, 2 * d): -c for d, c in _second_kind(n - 1)})
+    return BiPoly._make(("r", "x"), terms)
 
 
 # -- HOMFLY family -------------------------------------------------------
@@ -163,6 +169,26 @@ def homfly_rec(m_max: int) -> list[BiPoly]:
     _check_index(m_max)
     h1 = BiPoly._make(("a", "z"), {(4, 0): 2, (4, 4): 1, (8, 0): -1})
     return _three_term((BiPoly.one(("a", "z")), h1), *_HOMFLY_REC, m_max + 1)
+
+
+def _second_kind_at_z2_plus_2(n: int):
+    """The terms c·z^d of W_n = V_n(z^2 + 2) as pairs (d, c), lowest degree
+    first: c = C(n+k+1, 2k+1) at d = 2k, each coefficient found from the one
+    before.  None for n < 0."""
+    coeff = n + 1
+    for k in range(n + 1):
+        yield 2 * k, coeff
+        coeff = coeff * (n + k + 2) * (n - k) // ((2 * k + 2) * (2 * k + 3))
+
+
+def homfly_closed(m: int) -> BiPoly:
+    """The member H_m of :func:`homfly_rec`, written directly as
+    H_m = a^(2m)·W_m - a^(2m+2)·W_(m-1) with W_n = V_n(z^2 + 2), the image
+    of :func:`alexander_rx` under r = a^2, x = z^2 + 2 (Jones, Ann. Math.
+    126, 1987)."""
+    terms = {(4 * m, 2 * d): c for d, c in _second_kind_at_z2_plus_2(_check_index(m))}
+    terms.update({(4 * m + 4, 2 * d): -c for d, c in _second_kind_at_z2_plus_2(m - 1)})
+    return BiPoly._make(("a", "z"), terms)
 
 
 # the substitution r = a^2, x = z^2 + 2 from the (r,x) form to HOMFLY

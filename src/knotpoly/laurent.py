@@ -370,7 +370,7 @@ class _TermPoly:
         """``render`` for either arity: the JSON form, or the terms in key
         order with explicit signs, ``body(key)`` giving a term's powers."""
         if style == "json":
-            return json.dumps(self.to_json_dict())
+            return self._json_text()
         if style != "text":
             raise ValueError(f"unknown style {style!r}")
         if not self.terms:
@@ -609,6 +609,13 @@ class LaurentPoly(_TermPoly):
                 for num in sorted(self.terms, reverse=True)
             ],
         }
+
+    def _json_text(self) -> str:
+        # ``json.dumps(self.to_json_dict())``, written from the terms: the
+        # numerators and the digit strings need no escaping, the name does
+        body = ", ".join([f'{{"num": {num}, "coeff": "{coeff}"}}'
+                          for num, coeff in sorted(self.terms.items(), reverse=True)])
+        return f'{{"variable": {json.dumps(self.variable)}, "den": 2, "terms": [{body}]}}'
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LaurentPoly":

@@ -96,6 +96,7 @@ REGISTRY_RUNS = [
     ("homfly-bridge", 100, 100),        # criterion 4
     ("unified-skein", 200, 198),        # criterion 5
     ("trig", 50, 1200),                 # criterion 6, at 1e-9
+    ("closed-forms", 200, 804),         # criterion 2
 ]
 
 

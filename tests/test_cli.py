@@ -132,6 +132,16 @@ class TestTables:
             json.loads(polys[2].render("json"))
         )
 
+    @pytest.mark.parametrize("k", [0, 1, 12])
+    @pytest.mark.parametrize("family", cli._TABLE_FAMILIES)
+    def test_json_table_is_the_dict_built_dump(self, capsys, family, k):
+        # the joined string the CLI writes against json.dumps of the schema
+        rows = cli._TABLE_FAMILIES[family][0](k)
+        want = json.dumps({"family": family, "rows": [
+            {"label": label, "poly": poly.to_json_dict()} for label, poly in rows]})
+        assert run_cli(capsys, "table", family, "--max", str(k), "--format", "json") == \
+            (0, want + "\n", "")
+
 
 class TestSkeinDerive:
     def test_classical(self, capsys):

@@ -37,10 +37,6 @@ class TestAlexanderClosed:
     def test_unknot(self):
         assert alexander_closed(1) == 1
 
-    def test_bool_index_rejected(self):
-        with pytest.raises(ValueError):
-            alexander_closed(True)
-
     def test_hopf_link(self):
         assert str(alexander_closed(2)) == "t^(1/2) - t^(-1/2)"
 

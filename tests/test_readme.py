@@ -28,6 +28,31 @@ def test_python_blocks_run():
         exec(compile(body, "README.md", "exec"), namespace)
 
 
+def test_registry_example_is_a_registry_entry():
+    # the README's Identity(...) block is the registry entry of its name:
+    # the same suite, start and mode, and sides equal at n = 0..10
+    namespace = dict(vars(identities))
+    examples = [eval(body, namespace) for lang, body in BLOCKS
+                if lang == "python" and body.startswith("Identity(")]
+    assert examples
+    entries = {ident.name: ident for ident in identities.IDENTITIES}
+    built = {}
+
+    def seq(builder):
+        if builder not in built:
+            built[builder] = builder(10)
+        return built[builder]
+
+    for example in examples:
+        assert example.name in entries
+        entry = entries[example.name]
+        assert (example.suite, example.start, example.mode) == \
+            (entry.suite, entry.start, entry.mode)
+        for n in range(example.start, 11):
+            assert example.lhs(seq, n) == entry.lhs(seq, n)
+            assert example.rhs(seq, n) == entry.rhs(seq, n)
+
+
 @pytest.mark.parametrize("line", COMMANDS, ids=[line.split("#")[0].strip() for line in COMMANDS])
 def test_shell_command_runs(line, capsys):
     command, _, comment = line.partition("#")

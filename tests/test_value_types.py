@@ -2,10 +2,13 @@
 construction and the ring operators' operand rule."""
 
 import functools
+import json
 import operator
 import types
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from knotpoly import (
     BiPoly,
@@ -21,6 +24,7 @@ from knotpoly import (
     cheb_second_qp,
     cheb_second_rx,
     cheb_second_seq,
+    homfly_closed,
     homfly_rec,
     qnum_closed,
     qnum_rec,
@@ -30,6 +34,8 @@ from knotpoly import (
     qpnum_rec_seq,
 )
 from knotpoly import bivar, chebyshev, invariants, laurent, qnumbers
+
+from support import bi_polys, coefficients, laurent_polys, wide_coefficients
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
@@ -279,6 +285,7 @@ def test_builders_refuse_a_negative_or_bool_index(build, index):
     pytest.param(lambda: alexander_rx_seq(2), ("r", "x"), id="alexander-rx-seq"),
     pytest.param(lambda: [alexander_rx(2)], ("r", "x"), id="alexander-rx"),
     pytest.param(lambda: homfly_rec(2), ("a", "z"), id="homfly-rec"),
+    pytest.param(lambda: [homfly_closed(2)], ("a", "z"), id="homfly-closed"),
     pytest.param(lambda: alexander_unified_rec(3), "t", id="alexander-unified-rec"),
 ])
 def test_builders_use_the_paper_names(build, names):
@@ -300,3 +307,25 @@ def test_power_makes_no_product_with_the_unit(monkeypatch, module, kernel, poly,
     assert len(calls) == products
     monkeypatch.undo()
     assert power == functools.reduce(operator.mul, [poly] * k, 1)
+
+
+# -- the canonical JSON writer against the dict path it replaces -------------
+
+# small, 64-bit and wider coefficients; names that json.dumps must escape
+_json_coeffs = st.one_of(coefficients, wide_coefficients,
+                         st.integers(min_value=-(2**200), max_value=2**200))
+_json_names = st.sampled_from(["t", "θ", 'a"b'])
+
+
+@given(poly=laurent_polys(strides=(1, 2, 4), coeffs=_json_coeffs), name=_json_names)
+@example(poly=LaurentPoly.zero(), name='a"b')
+def test_laurent_json_writer_matches_the_dict_path(poly, name):
+    poly = poly.rename(name)
+    assert poly.render("json") == json.dumps(poly.to_json_dict())
+
+
+@given(poly=bi_polys(coeffs=_json_coeffs), names=st.tuples(_json_names, _json_names))
+@example(poly=BiPoly.zero(), names=("θ", "t"))
+def test_bivar_json_writer_matches_the_dict_path(poly, names):
+    poly = poly.rename(names)
+    assert poly.render("json") == json.dumps(poly.to_json_dict())
