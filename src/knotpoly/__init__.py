@@ -10,83 +10,17 @@ over half-integer exponent lattices, on one set of pure-Python term-dict
 kernels.
 """
 
-from . import errors
-from .bivar import BiPoly, RadicalExpr
-from .chebyshev import (
-    cheb_first,
-    cheb_first_seq,
-    cheb_second,
-    cheb_second_qp,
-    cheb_second_rx,
-    cheb_second_seq,
-)
-from .invariants import (
-    SkeinCoeffs,
-    SkeinReport,
-    TorusIndex,
-    TripleCheck,
-    alexander_closed,
-    alexander_from_qnum,
-    alexander_knot_rec,
-    alexander_qp,
-    alexander_rx,
-    alexander_rx_seq,
-    alexander_unified_rec,
-    compose_skein,
-    derive_skein,
-    homfly_closed,
-    homfly_from_alexander,
-    homfly_rec,
-    verify_skein,
-)
-from .laurent import LaurentPoly
-from .qnumbers import (
-    qnum_closed,
-    qnum_rec,
-    qnum_rec_seq,
-    qpnum_closed,
-    qpnum_rec,
-    qpnum_rec_seq,
-)
+from . import bivar, chebyshev, errors, invariants, laurent, qnumbers
+from .bivar import *
+from .chebyshev import *
+from .invariants import *
+from .laurent import *
+from .qnumbers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "LaurentPoly",
-    "RadicalExpr",
-    "SkeinCoeffs",
-    "SkeinReport",
-    "TorusIndex",
-    "TripleCheck",
-    "alexander_closed",
-    "alexander_from_qnum",
-    "alexander_knot_rec",
-    "alexander_qp",
-    "alexander_rx",
-    "alexander_rx_seq",
-    "alexander_unified_rec",
-    "cheb_first",
-    "cheb_first_seq",
-    "cheb_second",
-    "cheb_second_qp",
-    "cheb_second_rx",
-    "cheb_second_seq",
-    "compose_skein",
-    "derive_skein",
-    "errors",
-    "homfly_closed",
-    "homfly_from_alexander",
-    "homfly_rec",
-    "kernel_backend",
-    "qnum_closed",
-    "qnum_rec",
-    "qnum_rec_seq",
-    "qpnum_closed",
-    "qpnum_rec",
-    "qpnum_rec_seq",
-    "verify_skein",
-]
+__all__ = ["errors", "kernel_backend", *bivar.__all__, *chebyshev.__all__,
+           *invariants.__all__, *laurent.__all__, *qnumbers.__all__]
 
 
 def kernel_backend() -> str:

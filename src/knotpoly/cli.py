@@ -220,7 +220,18 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    # a printed coefficient can be longer than the interpreter's int-to-str
+    # digit limit, so the command runs with it lifted; Python before 3.10.7
+    # has no limit
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return args.func(args)
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main() -> None:

@@ -224,7 +224,7 @@ def test_criterion_8a_univariate_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    for poly in (a + b, a * b, a - c):
+    for poly in (a + b, a * b, a - c, -a):
         assert all(coeff != 0 for coeff in poly.terms.values())
 
 
@@ -236,6 +236,8 @@ def test_criterion_8b_bivariate_ring_axioms(f, g, h):
     assert (f + g) + h == f + (g + h)
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
+    for poly in (f + g, f - g, f * g, -f):
+        assert all(coeff != 0 for coeff in poly.terms.values())
 
 
 @THOROUGH

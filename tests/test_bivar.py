@@ -216,6 +216,20 @@ class TestRadicalExpr:
         assert str((r * x - 2 * r).sqrt()) == "r^(1/2) * sqrt(x - 2)"
         assert str((a * a * z * z).sqrt()) == "az"
 
+    def test_render_json(self):
+        expr = (r * x - 2 * r).sqrt()
+        assert expr.render("json") == json.dumps(expr.to_json_dict())
+        rx = ["r", "x"]
+        assert json.loads(expr.render("json")) == {
+            "prefactor": {"variables": rx, "den": 2, "terms": [{"numA": 1, "numB": 0, "coeff": "1"}]},
+            "radicands": [{"variables": rx, "den": 2, "terms": [
+                {"numA": 0, "numB": 2, "coeff": "1"}, {"numA": 0, "numB": 0, "coeff": "-2"}]}],
+        }
+
+    def test_repr_round_trips(self):
+        expr = (r * x - 2 * r).sqrt()
+        assert eval(repr(expr), {"BiPoly": BiPoly, "RadicalExpr": RadicalExpr}) == expr
+
     def test_render_rejects_unknown_style(self):
         with pytest.raises(ValueError, match="unknown style"):
             RadicalExpr(BiPoly.one()).render("bogus")
@@ -232,6 +246,8 @@ class TestEval:
         f = BiPoly.from_terms([((-1, 0), 1)])
         with pytest.raises(ZeroBase):
             f.eval_complex((0.0, 1.0))
+        with pytest.raises(ZeroBase):
+            BiPoly.from_terms([((0, -1), 1)]).eval_complex((1.0, 0.0))
 
     def test_zero_base_ok_for_plain_polys(self):
         assert (q + 3).eval_complex((0.0, 5.0)) == 3
@@ -269,29 +285,6 @@ class TestRender:
 
 
 class TestProperties:
-    @given(f=bi_polys(), g=bi_polys(), h=bi_polys())
-    def test_ring_axioms(self, f, g, h):
-        assert f + g == g + f
-        assert f * g == g * f
-        assert (f + g) + h == f + (g + h)
-        assert (f * g) * h == f * (g * h)
-        assert f * (g + h) == f * g + f * h
-
-    @given(f=bi_polys(), g=bi_polys())
-    def test_results_canonical(self, f, g):
-        for poly in (f + g, f - g, f * g, -f):
-            assert all(coeff != 0 for coeff in poly.terms.values())
-
-    @given(f=bi_polys_integral(), g=bi_polys_integral(), imgs=st.tuples(bi_polys(max_terms=3), bi_polys(max_terms=3)))
-    def test_substitution_is_ring_homomorphism(self, f, g, imgs):
-        img_a, img_b = imgs
-        assert (f * g).substitute(img_a, img_b) == f.substitute(
-            img_a, img_b
-        ) * g.substitute(img_a, img_b)
-        assert (f + g).substitute(img_a, img_b) == f.substitute(
-            img_a, img_b
-        ) + g.substitute(img_a, img_b)
-
     @given(f=bi_polys_integral(), g=bi_polys_integral())
     def test_univariate_collapse_is_ring_homomorphism(self, f, g):
         img_a = LaurentPoly.from_terms([(1, 1), (0, 2)], "t")

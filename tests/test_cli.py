@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from knotpoly import BiPoly, LaurentPoly
+from knotpoly import BiPoly, LaurentPoly, cheb_second
 from knotpoly import cli, identities
 
 
@@ -46,6 +46,25 @@ class TestPolynomialCommands:
         assert out == "x^3 - 3x\n"
         code, out, _ = run_cli(capsys, "chebyshev", "--kind", "second", "--n", "2")
         assert out == "x^2 - 1\n"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-to-str digit limit")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficients_longer_than_the_digit_limit(self, capsys, fmt):
+        # the largest coefficient of cheb_second(3400) has 709 digits; the
+        # command lifts the limit while it runs and restores the caller's
+        caller_limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)
+            expected = cheb_second(3400).render(fmt) + "\n"
+            sys.set_int_max_str_digits(640)
+            code, out, err = run_cli(capsys, "chebyshev", "--kind", "second", "--n", "3400",
+                                     "--format", fmt)
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(caller_limit)
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 class TestUsageErrors:
@@ -90,6 +109,10 @@ class TestVerify:
             1, "8/9 identities hold\n", f"FAIL {line}\n")
         code, out, _ = run_cli(capsys, "verify", "homfly-bridge", "--max-n", "9", "--format", "json")
         assert (code, json.loads(out)["failures"]) == (1, [line])
+
+    def test_library_run_refuses_an_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite 'no-such-suite'"):
+            identities.run("no-such-suite", 3)
 
     def test_json_report(self, capsys):
         code, out, _ = run_cli(

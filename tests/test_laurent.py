@@ -31,6 +31,9 @@ class TestConstruction:
         poly = LaurentPoly.from_terms([(Fraction(1, 2), 1), (Fraction(1, 2), -1)])
         assert poly.is_zero
 
+    def test_whole_fraction_and_float_exponents(self):
+        assert LaurentPoly.from_terms([(Fraction(4, 2), 2), (-1.0, 3)]) == 2 * t**2 + 3 * t_inv
+
     def test_rejects_off_lattice_exponents(self):
         with pytest.raises(ValueError):
             LaurentPoly.from_terms([(Fraction(1, 3), 1)])
@@ -205,6 +208,8 @@ class TestQueries:
     def test_degree_of_zero_raises(self):
         with pytest.raises(ValueError):
             LaurentPoly.zero().degree()
+        with pytest.raises(ValueError):
+            LaurentPoly.zero().min_degree()
 
     def test_leading_coefficient(self):
         assert (2 * t - 5).leading_coefficient() == 2
@@ -220,19 +225,6 @@ class TestQueries:
 
 
 class TestProperties:
-    @given(a=laurent_polys(), b=laurent_polys(), c=laurent_polys())
-    def test_ring_axioms(self, a, b, c):
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-
-    @given(a=laurent_polys(), b=laurent_polys())
-    def test_results_canonical(self, a, b):
-        for poly in (a + b, a - b, a * b, -a):
-            assert all(coeff != 0 for coeff in poly.terms.values())
-
     @given(p=laurent_polys(nonzero=True, strides=(1, 2, 4), coeffs=wide_coefficients))
     def test_sqrt_round_trip(self, p):
         root = (p * p).sqrt_perfect()

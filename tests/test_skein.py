@@ -139,6 +139,16 @@ class TestVerify:
         assert not report.all_ok
         assert not report.checks[0].ok
 
+    def test_failures_are_the_triples_through_a_perturbed_member(self):
+        seq = alexander_unified_rec(10)
+        seq[5] += 1
+        b1 = LaurentPoly.from_terms(
+            [(Fraction(1, 2), 1), (Fraction(-1, 2), -1)], variable="t"
+        )
+        report = verify_skein(seq, b1, 1)
+        assert [c.index for c in report.failures] == [5, 6, 7]
+        assert report.summary() == "5/8 triples satisfy the skein relation"
+
     def test_radical_stepwise_pair_fails_symbolically(self):
         seq = [alexander_rx(n) for n in range(8)]
         coeffs = derive_skein(*RX)

@@ -45,6 +45,7 @@ def test_constant_hashes_like_its_int(cls, value):
     assert poly == value
     assert hash(poly) == hash(value)
     assert len({poly, value}) == 1
+    assert bool(poly) == bool(value)
 
 
 def test_univariate_never_equals_bivariate():
@@ -69,6 +70,8 @@ def test_univariate_never_equals_bivariate():
         pytest.param(lambda: LaurentPoly.constant(1.7), id="laurent-constant-float"),
         pytest.param(lambda: LaurentPoly.monomial(2.9, 1), id="laurent-monomial-float-coeff"),
         pytest.param(lambda: BiPoly.constant(2.5), id="bivar-constant-float"),
+        pytest.param(lambda: RadicalExpr(2.5), id="radical-float-prefactor"),
+        pytest.param(lambda: RadicalExpr(BiPoly.one(), [2.5]), id="radical-float-radicand"),
     ],
 )
 def test_rejects_non_int_inputs(build):
@@ -95,6 +98,7 @@ def test_from_json_dict_rejects_non_int(cls, term):
 def test_radical_free_value_equals_and_hashes_as_its_prefactor():
     one = RadicalExpr(BiPoly.one())
     assert one == 1 and hash(one) == hash(1) and len({one, BiPoly.one(), 1}) == 1
+    assert one != "1" and one != LaurentPoly.one()
     r, x = BiPoly.gens(("r", "x"))
     assert RadicalExpr(r, [x - 2]) != r
     assert len({RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 3])}) == 2
