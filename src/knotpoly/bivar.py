@@ -292,7 +292,8 @@ class RadicalExpr:
         """The underlying polynomial; raises UnresolvedRadical when formal
         roots remain."""
         if self.radicands:
-            raise UnresolvedRadical(f"{self} still carries radical factors")
+            raise UnresolvedRadical(
+                f"the value still carries the square root of {self.radicands[0]._brief()}")
         return self.prefactor
 
     def square(self) -> BiPoly:

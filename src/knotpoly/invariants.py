@@ -227,7 +227,7 @@ def derive_skein(c1: BiPoly, c2: BiPoly) -> SkeinCoeffs:
     minus_c2 = -c2
     root = minus_c2.sqrt()
     if root.radicands:
-        raise NonPolynomialB2(f"-c2 = {minus_c2} is not a perfect square")
+        raise NonPolynomialB2(f"-c2, {minus_c2._brief()}, is not a perfect square")
     b2 = root.prefactor
     b1 = (c1 - 2 * b2).sqrt()
     return SkeinCoeffs(b1, b2)

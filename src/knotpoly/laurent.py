@@ -23,6 +23,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 
 from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sub_terms
+from ._kernels.pure import _packed_sqrt
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
 
 __all__ = ["LaurentPoly"]
@@ -114,12 +115,22 @@ def _sqrt_terms(terms):
     positive leading coefficient; None when no root with integer
     coefficients exists on the half-exponent lattice.
 
-    Long division from the top down, on a dict remainder with a heap of
-    its keys and a list of the nonzero root terms: a step costs one update
-    per root term, whatever the gaps between exponents.  ``BiPoly.sqrt``
+    A square long and dense enough is first tried as one packed integer
+    square root (``_packed_sqrt``), whose candidate counts only once its
+    square is the input; the long division decides every case that path
+    leaves open, so a None always comes from the division.  ``BiPoly.sqrt``
     calls it on packed keys and bounds the unpacked root's degree, as a
     root whose square carries between the packed fields is no root.
     """
+    root = _packed_sqrt(terms)
+    return _divided_sqrt(terms) if root is None else root
+
+
+def _divided_sqrt(terms):
+    """``_sqrt_terms`` by long division from the top down, on a dict
+    remainder with a heap of its keys and a list of the nonzero root
+    terms: a step costs one update per root term, whatever the gaps
+    between exponents."""
     if not terms:
         return {}
     lo, hi = min(terms), max(terms)
@@ -407,6 +418,20 @@ class _TermPoly:
             return hash(terms[self._UNIT])
         return hash(frozenset(terms.items()))
 
+    def _brief(self) -> str:
+        """A description of bounded length for error messages: the term
+        count and each variable's exponent range.  The terms themselves
+        are left out, as their text grows with the coefficients and can
+        pass the interpreter's int-to-str digit limit."""
+        if not self.terms:
+            return "the zero polynomial"
+        bivariate = isinstance(self._UNIT, tuple)
+        names = self.variables if bivariate else (self.variable,)
+        columns = zip(*self.terms) if bivariate else (self.terms,)
+        ranges = ", ".join(f"{name} from {Fraction(min(nums), 2)} to {Fraction(max(nums), 2)}"
+                           for name, nums in zip(names, columns))
+        return f"a {len(self.terms)}-term polynomial with exponents of {ranges}"
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -573,7 +598,7 @@ class LaurentPoly(_TermPoly):
         """
         root = _sqrt_terms(self.terms)
         if root is None:
-            raise NotAPerfectSquare(f"{self} is not a perfect square")
+            raise NotAPerfectSquare(f"{self._brief()} is not a perfect square")
         return self._like(root)
 
     def eval_complex(self, value) -> complex:

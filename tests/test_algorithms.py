@@ -41,10 +41,14 @@ from support import (
 @pytest.mark.parametrize("root", [
     pytest.param(LaurentPoly({0: 1, 10**6: 3}), id="laurent"),
     pytest.param(BiPoly({(0, 0): 1, (1000, 1000): 3}), id="bivar-packed"),
+    pytest.param(LaurentPoly({**{k: k + 1 for k in range(pure._SQRT_FROM - 1)}, 10**6: 3}),
+                 id="laurent-past-the-packing-length"),
 ])
 def test_sqrt_memory_follows_the_terms_not_the_exponent_gaps(root):
     # a dense remainder holds a slot per exponent from the lowest to the
-    # highest: 2·10^6 of them here, and 4·10^6 for the packed bivariate keys
+    # highest: 2·10^6 of them here, and 4·10^6 for the packed bivariate keys.
+    # The third square is long enough to pack: only the density guard keeps
+    # the packed root from allocating every slot
     square = root * root
     tracemalloc.start()
     try:

@@ -159,6 +159,12 @@ class TestRadicalExpr:
         with pytest.raises(UnresolvedRadical):
             expr.as_polynomial()
 
+    def test_unresolved_message_is_bounded(self):
+        # a 5000-digit coefficient: its text passes the default digit limit
+        with pytest.raises(UnresolvedRadical) as info:
+            (x + 10**5000).sqrt().as_polynomial()
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize("left, right", [
         pytest.param(lambda: RadicalExpr(BiPoly.one(("r", "x")), [x + 1, x + 1]),
                      lambda: RadicalExpr(x + 1), id="square-product"),

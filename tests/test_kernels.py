@@ -1,11 +1,15 @@
 import tracemalloc
+from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotpoly
+from knotpoly import BiPoly, LaurentPoly, bivar, laurent
 from knotpoly._kernels import pure
+from knotpoly.errors import NotAPerfectSquare
 
 from support import naive_bi_mul_terms, naive_mul_terms
 
@@ -166,3 +170,97 @@ def test_product_memory_follows_the_terms_not_the_exponent_gaps(kernel, key, siz
         tracemalloc.stop()
     assert product == (naive_mul_terms if kernel is pure.mul_terms else naive_bi_mul_terms)(a, b)
     assert peak < 1 << 20
+
+
+# -- the packed square root against the long division -------------------------
+
+# Roots of up to 80 terms (a bivariate one fills whole rows of its grid when
+# dense), on lattices of stride 1, 2 or 4 with negative and odd offsets, and
+# coefficients up to 2^200.  ``_root_width`` bounds every root coefficient,
+# so a true square always fits its slots: the long division runs on the
+# near-squares, and on squares the guards refuse.
+_PACKS_FROM = pure._SQRT_FROM // 2 + 1   # a dense root's square has 2n - 1 terms
+
+
+@st.composite
+def _sqrt_cases(draw):
+    """(bivariate, root, its square, near-squares, must_pack): the near-squares
+    add or subtract one monomial, cancel one term, or, in one variable, move
+    one unit of a slot into the slot below as 2^(8s); must_pack says the
+    square is long and dense enough that the packed root has to decide it."""
+    bivariate = draw(st.booleans())
+    size = draw(st.one_of(st.integers(1, _PACKS_FROM - 1), st.integers(_PACKS_FROM, 80)))
+    bits = draw(st.sampled_from((1, 16, 64, 200)))
+    dense = draw(st.booleans())
+    if bivariate:
+        # a dense root on a unit grid of whole rows: its square fills every
+        # slot of the packed keys a·W + b
+        cols = draw(st.integers(1, size))
+        if dense:
+            size = -(-size // cols) * cols
+            (ox, sx), (oy, sy) = (draw(st.integers(-40, 40)), 1), (draw(st.integers(-40, 40)), 1)
+        else:
+            (ox, sx), (oy, sy) = _lattice(draw), _lattice(draw)
+        keys = [(ox + sx * (i // cols), oy + sy * (i % cols))
+                for i in (range(size) if dense else _steps(draw, size))]
+    else:
+        offset, stride = _lattice(draw)
+        keys = [offset + stride * i for i in (range(size) if dense else _steps(draw, size))]
+    root = dict(zip(keys, _coefficients(draw, len(keys), bits)))
+    root[max(root)] = abs(root[max(root)])
+    square = (naive_bi_mul_terms if bivariate else naive_mul_terms)(root, root)
+    if bivariate:
+        spot = st.tuples(*(st.integers(min(nums) - 4, max(nums) + 4) for nums in zip(*square)))
+    else:
+        spot = st.integers(min(square) - 4, max(square) + 4)
+    near = []
+    for _ in range(2):
+        key = draw(st.one_of(st.sampled_from(sorted(square)), spot))
+        near.append(pure.add_terms(square, {key: draw(st.sampled_from(
+            (1, -1, -square.get(key, 1))))}))
+    if not bivariate:
+        # F is unchanged when 2^(8s)·t^k - t^(k + g) is added, s the slot
+        # width: only squaring the candidate tells this from the square
+        lo = min(square)
+        step = gcd(*(k - lo for k in square)) or 1
+        width = pure._root_width(square)
+        k = lo + step * draw(st.integers(0, max(0, (max(square) - lo) // step - 2)))
+        near.append(pure.add_terms(square, {k: 1 << 8 * width, k + step: -1}))
+    must_pack = dense and size >= _PACKS_FROM and bits >= 16
+    return bivariate, root, square, near, must_pack
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sqrt_cases())
+def test_packed_root_matches_the_long_division(case):
+    bivariate, root, square, near, must_pack = case
+    for terms in (square, *near):
+        if bivariate:
+            with mock.patch.object(bivar, "_sqrt_terms", laurent._divided_sqrt):
+                want = BiPoly(terms).sqrt()
+            with mock.patch.object(laurent, "_divided_sqrt",
+                                   wraps=laurent._divided_sqrt) as division:
+                got = BiPoly(terms).sqrt()
+            assert got.prefactor.terms == want.prefactor.terms
+            assert [r.terms for r in got.radicands] == [r.terms for r in want.radicands]
+            got = None if got.radicands else got.prefactor.terms
+        else:
+            want = laurent._divided_sqrt(terms)
+            with mock.patch.object(laurent, "_divided_sqrt",
+                                   wraps=laurent._divided_sqrt) as division:
+                got = laurent._sqrt_terms(terms)
+            assert got == want
+            assert list(got or ()) == list(want or ())   # the same descending key order
+            assert pure._packed_sqrt(terms) in (None, want)
+        if terms is square:
+            assert got == root
+            assert not (must_pack and division.called)
+
+
+def test_packed_root_refuses_a_negative_packed_value():
+    # the coefficient -2^300 outweighs the top slot, so F < 0: math.isqrt
+    # would raise ValueError rather than leave the division to refuse
+    terms = {2 * i: 1 for i in range(pure._SQRT_FROM + 1)} | {2 * pure._SQRT_FROM - 2: -(1 << 300)}
+    assert pure._packed_sqrt(terms) is None
+    with pytest.raises(NotAPerfectSquare):
+        LaurentPoly(terms).sqrt_perfect()

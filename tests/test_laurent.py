@@ -143,6 +143,13 @@ class TestSqrtPerfect:
         with pytest.raises(NotAPerfectSquare):
             poly.sqrt_perfect()
 
+    def test_not_a_square_message_is_bounded(self):
+        # the text of a 5000-digit int passes Python's default 4300-digit
+        # limit, so a message that printed the terms would raise ValueError
+        with pytest.raises(NotAPerfectSquare) as info:
+            LaurentPoly({0: 10**5000, 2: 1, 4: 1}).sqrt_perfect()
+        assert len(str(info.value)) < 200
+
 
 class TestEval:
     def test_counts_alternating_coefficients(self):

@@ -58,6 +58,12 @@ class TestDerive:
         with pytest.raises(NonPolynomialB2):
             derive_skein(r * x, -(x - 2))  # -c2 = x - 2 has no polynomial root
 
+    def test_nonpolynomial_b2_message_is_bounded(self):
+        # a 5000-digit coefficient: its text passes the default digit limit
+        with pytest.raises(NonPolynomialB2) as info:
+            derive_skein(r * x, -(x - 10**5000))
+        assert len(str(info.value)) < 200
+
     def test_zero_c2(self):
         coeffs = derive_skein(x * x, BiPoly.zero(("r", "x")))
         assert coeffs.b2.is_zero
