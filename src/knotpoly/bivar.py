@@ -14,7 +14,7 @@ import math
 
 from ._kernels import add_terms, bi_mul_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import (_check_names, _json_terms, _pow_str, _sqrt_terms, _substitute, _TermPoly,
+from .laurent import (_check_names, _point, _pow_str, _sqrt_terms, _substitute, _TermPoly,
                       _to_numerator)
 
 __all__ = ["BiPoly", "RadicalExpr"]
@@ -47,12 +47,19 @@ class BiPoly(_TermPoly):
     """Sparse polynomial in an ordered pair of variables, with exact
     integer coefficients and half-integer exponents per variable."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ()
     _UNIT = (0, 0)
+    _NAMES_FIELD = "variables"
+    _KEY_FIELDS = ("numA", "numB")
+    _DEFAULT_NAMES = ("q", "p")
 
-    def __init__(self, terms=(), variables=("q", "p")):
-        self.variables = _check_names(variables, 2)
+    def __init__(self, terms=(), variables=_DEFAULT_NAMES):
+        self._names = _check_names(variables, 2)
         self.terms = self._canonical(terms)
+
+    @property
+    def variables(self) -> tuple[str, str]:
+        return self._names
 
     @staticmethod
     def _check_key(key):
@@ -64,17 +71,7 @@ class BiPoly(_TermPoly):
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def _make(cls, variables, terms: dict) -> "BiPoly":
-        self = object.__new__(cls)
-        self.variables = variables
-        self.terms = terms
-        return self
-
-    def _like(self, terms: dict) -> "BiPoly":
-        return BiPoly._make(self.variables, terms)
-
-    @classmethod
-    def from_terms(cls, pairs, variables=("q", "p")) -> "BiPoly":
+    def from_terms(cls, pairs, variables=_DEFAULT_NAMES) -> "BiPoly":
         """Build from ((expA, expB), coefficient) pairs with integer or
         half-integer exponents."""
         return cls(
@@ -83,21 +80,7 @@ class BiPoly(_TermPoly):
         )
 
     @classmethod
-    def zero(cls, variables=("q", "p")) -> "BiPoly":
-        return cls._make(_check_names(variables, 2), {})
-
-    @classmethod
-    def constant(cls, value: int, variables=("q", "p")) -> "BiPoly":
-        if type(value) is not int:
-            raise TypeError(f"coefficient {value!r} is not an int")
-        return cls._make(_check_names(variables, 2), {(0, 0): value} if value else {})
-
-    @classmethod
-    def one(cls, variables=("q", "p")) -> "BiPoly":
-        return cls.constant(1, variables)
-
-    @classmethod
-    def gens(cls, variables=("q", "p")) -> tuple["BiPoly", "BiPoly"]:
+    def gens(cls, variables=_DEFAULT_NAMES) -> tuple["BiPoly", "BiPoly"]:
         """The two coordinate polynomials."""
         variables = _check_names(variables, 2)
         return (
@@ -132,9 +115,6 @@ class BiPoly(_TermPoly):
         return self._power(k, bi_mul_terms)
 
     # -- transforms --------------------------------------------------
-
-    def rename(self, variables) -> "BiPoly":
-        return BiPoly._make(_check_names(variables, 2), dict(self.terms))
 
     def substitute(self, image_a, image_b):
         """Replace the first/second variable by the given images.
@@ -192,9 +172,7 @@ class BiPoly(_TermPoly):
     def eval_complex(self, point) -> complex:
         """Numeric evaluation at ``(value_a, value_b)``; half exponents use
         principal square roots."""
-        za, zb = point
-        za = complex(za)
-        zb = complex(zb)
+        za, zb = map(_point, point)
         if za == 0 and any(na < 0 for na, _ in self.terms):
             raise ZeroBase("negative exponents cannot be evaluated at zero")
         if zb == 0 and any(nb < 0 for _, nb in self.terms):
@@ -213,7 +191,7 @@ class BiPoly(_TermPoly):
     # -- rendering ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        va, vb = self.variables
+        va, vb = self._names
         return {
             "variables": [va, vb],
             "den": 2,
@@ -228,26 +206,17 @@ class BiPoly(_TermPoly):
         # numerators and the digit strings need no escaping, the names do
         body = ", ".join([f'{{"numA": {na}, "numB": {nb}, "coeff": "{coeff}"}}'
                           for (na, nb), coeff in sorted(self.terms.items(), reverse=True)])
-        names = json.dumps(list(self.variables))
+        names = json.dumps(list(self._names))
         return f'{{"variables": {names}, "den": 2, "terms": [{body}]}}'
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "BiPoly":
-        rows = _json_terms(obj, ("numA", "numB"))
-        names = obj.get("variables", ("q", "p"))
-        return cls((((na, nb), c) for na, nb, c in rows), variables=names)
 
     def render(self, style: str = "text", *, ascending: bool = True) -> str:
         """Text terms ordered by the first variable's exponent (ascending by
         default, descending with ``ascending=False``), ties broken by the
         second exponent in the same direction; or the canonical JSON form."""
-        va, vb = self.variables
+        va, vb = self._names
         return self._render(
             style, not ascending, lambda key: _pow_str(va, key[0]) + _pow_str(vb, key[1])
         )
-
-    def __repr__(self):
-        return f"BiPoly({self.terms!r}, variables={self.variables!r})"
 
 
 class RadicalExpr:

@@ -51,14 +51,15 @@ def _to_numerator(exponent) -> int:
 
 def _check_names(names, arity: int):
     """Variable names given by a caller: one str for ``arity`` 1, or a
-    list or tuple of two strs for ``arity`` 2, returned as a tuple."""
+    list or tuple of two strs for ``arity`` 2, returned as a tuple.  A
+    name may not be empty, as its powers would then print as nothing."""
     if arity == 1:
-        if not isinstance(names, str):
-            raise ValueError(f'field "variable" is not a string: {names!r}')
+        if not (isinstance(names, str) and names):
+            raise ValueError(f'field "variable" is not a string, or is empty: {names!r}')
         return names
     if not (isinstance(names, (list, tuple)) and len(names) == 2
-            and all(isinstance(v, str) for v in names)):
-        raise ValueError(f'field "variables" is not a pair of strings: {names!r}')
+            and all(isinstance(v, str) and v for v in names)):
+        raise ValueError(f'field "variables" is not a pair of strings, or one is empty: {names!r}')
     return tuple(names)
 
 
@@ -77,9 +78,9 @@ def _json_coeff(coeff):
 
 
 def _json_terms(obj, fields):
-    """The terms of a canonical JSON object, each as the tuple of its
-    ``fields`` and its coefficient.  A malformed object raises ValueError
-    naming the field; the constructor still checks the values' types."""
+    """The terms of a canonical JSON object as ``(key, coeff)`` rows, a key
+    an int for one of ``fields`` and a tuple for two.  A malformed object
+    raises ValueError naming the field; the constructor checks the types."""
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, not {type(obj).__name__}")
     if type(obj.get("den")) is not int or obj["den"] != 2:
@@ -93,7 +94,8 @@ def _json_terms(obj, fields):
         for field in (*fields, "coeff"):
             if field not in term:
                 raise ValueError(f'an entry of "terms" has no field "{field}": {term!r}')
-        rows.append((*(term[f] for f in fields), _json_coeff(term["coeff"])))
+        key = term[fields[0]] if len(fields) == 1 else tuple(term[f] for f in fields)
+        rows.append((key, _json_coeff(term["coeff"])))
     return rows
 
 
@@ -282,6 +284,14 @@ def _remap(source, monos, unit):
     return out
 
 
+def _point(value) -> complex:
+    """``complex(value)`` for an evaluation point; NaN raises ValueError on every path."""
+    z = complex(value)
+    if cmath.isnan(z):
+        raise ValueError(f"cannot evaluate at {value!r}: not a number")
+    return z
+
+
 def _exact_real_sum(terms, x: float) -> float:
     """The sum of ``c x^(num/2)`` over integer-exponent ``terms`` at a
     nonzero float x, computed exactly and rounded once.
@@ -314,15 +324,59 @@ def _exact_real_sum(terms, x: float) -> float:
 
 class _TermPoly:
     """What ``LaurentPoly`` and ``BiPoly`` share: a canonical ``terms``
-    dict (no zero coefficient) keyed by exponent numerators, with
-    ``_UNIT`` the key of the constant term.
+    dict (no zero coefficient) keyed by exponent numerators, the variable
+    names in ``_names``, and the constructors, JSON reading and ``repr``.
+    A subclass declares its arity as class attributes: ``_UNIT`` (the
+    constant term's key), ``_NAMES_FIELD`` and ``_KEY_FIELDS`` (the JSON
+    fields of its names and of a key) and ``_DEFAULT_NAMES``.
 
     Equality compares term maps only, and a constant polynomial equals
     (and hashes like) its int.
     """
 
-    __slots__ = ()
-    _UNIT: object  # set by each subclass
+    __slots__ = ("_names", "terms")
+
+    @classmethod
+    def _make(cls, names, terms: dict):
+        # trusted path: names checked and terms already canonical
+        self = object.__new__(cls)
+        self._names = names
+        self.terms = terms
+        return self
+
+    def _like(self, terms: dict):
+        # every ring operation comes through here: the slot is copied
+        # directly, as a call to ``_make`` would cost a frame per operation
+        new = object.__new__(type(self))
+        new._names = self._names
+        new.terms = terms
+        return new
+
+    @classmethod
+    def constant(cls, value: int, names=None):
+        """``value`` as a polynomial; ``names`` None gives the default names."""
+        if type(value) is not int:
+            raise TypeError(f"coefficient {value!r} is not an int")
+        names = cls._DEFAULT_NAMES if names is None else _check_names(names, len(cls._KEY_FIELDS))
+        return cls._make(names, {cls._UNIT: value} if value else {})
+
+    @classmethod
+    def zero(cls, names=None):
+        return cls.constant(0, names)
+
+    @classmethod
+    def one(cls, names=None):
+        return cls.constant(1, names)
+
+    def rename(self, names):
+        return self._make(_check_names(names, len(self._KEY_FIELDS)), dict(self.terms))
+
+    @classmethod
+    def from_json_dict(cls, obj: dict):
+        return cls(_json_terms(obj, cls._KEY_FIELDS), obj.get(cls._NAMES_FIELD, cls._DEFAULT_NAMES))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r}, {self._NAMES_FIELD}={self._names!r})"
 
     @classmethod
     def _canonical(cls, terms) -> dict:
@@ -426,7 +480,7 @@ class _TermPoly:
         if not self.terms:
             return "the zero polynomial"
         bivariate = isinstance(self._UNIT, tuple)
-        names = self.variables if bivariate else (self.variable,)
+        names = self._names if bivariate else (self._names,)
         columns = zip(*self.terms) if bivariate else (self.terms,)
         ranges = ", ".join(f"{name} from {Fraction(min(nums), 2)} to {Fraction(max(nums), 2)}"
                            for name, nums in zip(names, columns))
@@ -452,12 +506,19 @@ class LaurentPoly(_TermPoly):
     exponents.
     """
 
-    __slots__ = ("variable", "terms")
+    __slots__ = ()
     _UNIT = 0
+    _NAMES_FIELD = "variable"
+    _KEY_FIELDS = ("num",)
+    _DEFAULT_NAMES = "t"
 
-    def __init__(self, terms=(), variable: str = "t"):
-        self.variable = _check_names(variable, 1)
+    def __init__(self, terms=(), variable: str = _DEFAULT_NAMES):
+        self._names = _check_names(variable, 1)
         self.terms = self._canonical(terms)
+
+    @property
+    def variable(self) -> str:
+        return self._names
 
     @staticmethod
     def _check_key(num):
@@ -468,48 +529,23 @@ class LaurentPoly(_TermPoly):
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def _make(cls, variable: str, terms: dict) -> "LaurentPoly":
-        # trusted path: terms already canonical
-        self = object.__new__(cls)
-        self.variable = variable
-        self.terms = terms
-        return self
-
-    def _like(self, terms: dict) -> "LaurentPoly":
-        return LaurentPoly._make(self.variable, terms)
-
-    @classmethod
-    def from_terms(cls, pairs, variable: str = "t") -> "LaurentPoly":
+    def from_terms(cls, pairs, variable: str = _DEFAULT_NAMES) -> "LaurentPoly":
         """Build from (exponent, coefficient) pairs; duplicates are summed
         and zero coefficients dropped."""
         return cls(((_to_numerator(e), c) for e, c in pairs), variable)
 
     @classmethod
-    def zero(cls, variable: str = "t") -> "LaurentPoly":
-        return cls._make(_check_names(variable, 1), {})
-
-    @classmethod
-    def constant(cls, value: int, variable: str = "t") -> "LaurentPoly":
-        if type(value) is not int:
-            raise TypeError(f"coefficient {value!r} is not an int")
-        return cls._make(_check_names(variable, 1), {0: value} if value else {})
-
-    @classmethod
-    def one(cls, variable: str = "t") -> "LaurentPoly":
-        return cls.constant(1, variable)
-
-    @classmethod
-    def gen(cls, variable: str = "t") -> "LaurentPoly":
+    def gen(cls, variable: str = _DEFAULT_NAMES) -> "LaurentPoly":
         """The variable itself."""
         return cls._make(_check_names(variable, 1), {2: 1})
 
     @classmethod
-    def gen_sqrt(cls, variable: str = "t") -> "LaurentPoly":
+    def gen_sqrt(cls, variable: str = _DEFAULT_NAMES) -> "LaurentPoly":
         """The square root of the variable (exponent one half)."""
         return cls._make(_check_names(variable, 1), {1: 1})
 
     @classmethod
-    def monomial(cls, coeff: int, exponent, variable: str = "t") -> "LaurentPoly":
+    def monomial(cls, coeff: int, exponent, variable: str = _DEFAULT_NAMES) -> "LaurentPoly":
         if type(coeff) is not int:
             raise TypeError(f"coefficient {coeff!r} is not an int")
         terms = {_to_numerator(exponent): coeff} if coeff else {}
@@ -566,9 +602,6 @@ class LaurentPoly(_TermPoly):
 
     # -- transforms --------------------------------------------------
 
-    def rename(self, variable: str) -> "LaurentPoly":
-        return LaurentPoly._make(_check_names(variable, 1), dict(self.terms))
-
     def invert_variable(self) -> "LaurentPoly":
         """Substitute the variable by its reciprocal."""
         return self._like({-n: c for n, c in self.terms.items()})
@@ -609,7 +642,7 @@ class LaurentPoly(_TermPoly):
         arithmetic before the final rounding; high-degree alternating
         polynomials would otherwise lose everything to cancellation.
         """
-        z = complex(value)
+        z = _point(value)
         if z == 0:
             if self.terms and min(self.terms) < 0:
                 raise ZeroBase("negative exponents cannot be evaluated at zero")
@@ -627,7 +660,7 @@ class LaurentPoly(_TermPoly):
 
     def to_json_dict(self) -> dict:
         return {
-            "variable": self.variable,
+            "variable": self._names,
             "den": 2,
             "terms": [
                 {"num": num, "coeff": str(self.terms[num])}
@@ -640,16 +673,9 @@ class LaurentPoly(_TermPoly):
         # numerators and the digit strings need no escaping, the name does
         body = ", ".join([f'{{"num": {num}, "coeff": "{coeff}"}}'
                           for num, coeff in sorted(self.terms.items(), reverse=True)])
-        return f'{{"variable": {json.dumps(self.variable)}, "den": 2, "terms": [{body}]}}'
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "LaurentPoly":
-        return cls(_json_terms(obj, ("num",)), variable=obj.get("variable", "t"))
+        return f'{{"variable": {json.dumps(self._names)}, "den": 2, "terms": [{body}]}}'
 
     def render(self, style: str = "text") -> str:
         """Terms in descending exponent order with explicit signs, or the
         canonical JSON form."""
-        return self._render(style, True, partial(_pow_str, self.variable))
-
-    def __repr__(self):
-        return f"LaurentPoly({self.terms!r}, variable={self.variable!r})"
+        return self._render(style, True, partial(_pow_str, self._names))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from knotpoly import (
     BiPoly,
     LaurentPoly,
+    RadicalExpr,
     alexander_rx,
     alexander_rx_seq,
     cheb_first_seq,
@@ -289,6 +290,21 @@ def test_eval_complex_exact_on_cancellation():
     for poly, x in [(LaurentPoly({}), 0.1), (LaurentPoly({2: 1, -2: -1}), -1.0),
                     (LaurentPoly({-2: 1, 0: 2}), -0.5), (LaurentPoly({-6: 1, 0: 8}), -0.5)]:
         assert repr(poly.eval_complex(x)) == repr(_fraction_sum(poly, x)) == repr(0j)
+
+
+# the exact path refuses NaN, as ``as_integer_ratio`` does; every other path
+# must too, not return nan+nanj
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda: LaurentPoly({1: 1}).eval_complex(math.nan), id="laurent-half-exponent"),
+    pytest.param(lambda: LaurentPoly({4: 1}).eval_complex(complex(1, math.nan)),
+                 id="laurent-complex-point"),
+    pytest.param(lambda: BiPoly({(2, 0): 1}).eval_complex((math.nan, 1)), id="bivar"),
+    pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), [BiPoly({(0, 2): 1, (0, 0): -2})])
+                 .eval_complex((1, math.nan)), id="radical"),
+])
+def test_eval_complex_refuses_nan(evaluate):
+    with pytest.raises(ValueError):
+        evaluate()
 
 
 # -- the rx sequence is built once per run ---------------------------------

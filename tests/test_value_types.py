@@ -137,6 +137,7 @@ _BI = {"den": 2, "terms": [{"numA": 2, "numB": 0, "coeff": "1"}]}
     pytest.param(LaurentPoly, dict(_UNI, variable=7), "variable", id="laurent-int-variable"),
     pytest.param(BiPoly, dict(_BI, variables=[1, 2]), "variables", id="bivar-int-variables"),
     pytest.param(BiPoly, dict(_BI, variables=["q", 2]), "variables", id="bivar-one-int-variable"),
+    pytest.param(LaurentPoly, dict(_UNI, variable=""), "variable", id="laurent-empty-variable"),
     pytest.param(LaurentPoly, {"den": 2}, "terms", id="laurent-no-terms"),
     pytest.param(BiPoly, {"den": 2}, "terms", id="bivar-no-terms"),
     pytest.param(LaurentPoly, {"den": 2, "terms": 5}, "terms", id="laurent-int-terms"),
@@ -239,6 +240,7 @@ _NOT_A_PAIR = '"variables" is not a pair of strings'
     pytest.param(lambda: LaurentPoly.gen_sqrt(7), _NOT_A_NAME, id="laurent-gen-sqrt"),
     pytest.param(lambda: LaurentPoly.monomial(2, 1, 7), _NOT_A_NAME, id="laurent-monomial"),
     pytest.param(lambda: LaurentPoly.gen().rename(7), _NOT_A_NAME, id="laurent-rename"),
+    pytest.param(lambda: LaurentPoly({2: 2}, ""), _NOT_A_NAME, id="laurent-empty"),
     pytest.param(lambda: BiPoly({(2, 0): 1}, ("a", "b", "c")), _NOT_A_PAIR, id="bivar-init"),
     pytest.param(lambda: BiPoly.from_terms([((1, 0), 1)], ("a", 7)), _NOT_A_PAIR,
                  id="bivar-from-terms"),
@@ -247,10 +249,23 @@ _NOT_A_PAIR = '"variables" is not a pair of strings'
     pytest.param(lambda: BiPoly.one(("a", "b", "c")), _NOT_A_PAIR, id="bivar-one"),
     pytest.param(lambda: BiPoly.gens(("a",)), _NOT_A_PAIR, id="bivar-gens"),
     pytest.param(lambda: BiPoly.one().rename(("a", "b", "c")), _NOT_A_PAIR, id="bivar-rename"),
+    pytest.param(lambda: BiPoly.constant(3, ("", "p")), _NOT_A_PAIR, id="bivar-one-empty"),
 ])
 def test_variable_names_are_checked(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("poly, field", [
+    pytest.param(_LAURENT, "variable", id="laurent"),
+    pytest.param(_BIVAR, "variables", id="bivar"),
+])
+def test_names_survive_repr_and_json_and_are_read_only(poly, field):
+    cls, names = type(poly), getattr(poly, field)
+    for again in (eval(repr(poly), {cls.__name__: cls}), cls.from_json_dict(poly.to_json_dict())):
+        assert again == poly and getattr(again, field) == names
+    with pytest.raises(AttributeError):
+        setattr(poly, field, names)
 
 
 # every public builder that takes an index, as the three family modules
@@ -271,7 +286,8 @@ def test_builders_refuse_a_negative_or_bool_index(build, index):
 
 
 # the builders take no names: each family lives in the paper's variables,
-# which the CLI prints; ``rename`` gives any others
+# which the CLI prints; ``rename`` gives any others.  The constants take
+# each type's default names.
 @pytest.mark.parametrize("build, names", [
     pytest.param(lambda: [qnum_closed(2)], "q", id="qnum-closed"),
     pytest.param(lambda: qnum_rec_seq(2), "q", id="qnum-rec-seq"),
@@ -291,6 +307,10 @@ def test_builders_refuse_a_negative_or_bool_index(build, index):
     pytest.param(lambda: homfly_rec(2), ("a", "z"), id="homfly-rec"),
     pytest.param(lambda: [homfly_closed(2)], ("a", "z"), id="homfly-closed"),
     pytest.param(lambda: alexander_unified_rec(3), "t", id="alexander-unified-rec"),
+    pytest.param(lambda: [LaurentPoly.zero(), LaurentPoly.one(), LaurentPoly.constant(5)], "t",
+                 id="laurent-constants"),
+    pytest.param(lambda: [BiPoly.zero(), BiPoly.one(), BiPoly.constant(5)], ("q", "p"),
+                 id="bivar-constants"),
 ])
 def test_builders_use_the_paper_names(build, names):
     for value in build():
