@@ -5,10 +5,16 @@ The two multiplications, ``mul_terms`` (int keys) and ``bi_mul_terms``
 (pairs of ints), loop over the pairs of terms while the shorter operand is
 below a measured crossover; above it, a product dense enough for the
 density guard runs as one Kronecker-packed big-int multiply, which both
-arities share.  ``compose`` and ``substitute`` split their source so that
-their work is balanced products that reach the packed multiply.
+arities share.  The two exact square roots, ``sqrt_terms`` and
+``bi_sqrt_terms``, try a square long and dense enough as one packed
+integer square root and leave every other case to a long division; the
+bivariate kernels of both kinds fold a key (x, y) onto one int the same
+way.  ``compose`` and ``substitute`` split their source so that their work
+is balanced products that reach the packed multiply.
 """
 
-from .pure import add_terms, bi_mul_terms, mul_terms, neg_terms, scale_terms, sub_terms
+from .pure import (add_terms, bi_mul_terms, bi_sqrt_terms, mul_terms, neg_terms, scale_terms,
+                   sqrt_terms, sub_terms)
 
-__all__ = ["add_terms", "bi_mul_terms", "mul_terms", "neg_terms", "scale_terms", "sub_terms"]
+__all__ = ["add_terms", "bi_mul_terms", "bi_sqrt_terms", "mul_terms", "neg_terms", "scale_terms",
+           "sqrt_terms", "sub_terms"]

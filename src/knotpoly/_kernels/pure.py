@@ -1,8 +1,8 @@
 """Pure-Python term-dict kernels.
 
 A term dict maps exponent keys to nonzero integer coefficients.  The
-add/sub/neg/scale kernels are key-agnostic; multiplication comes in a
-univariate flavour (integer keys) and a bivariate one (pairs of ints).
+add/sub/neg/scale kernels are key-agnostic; products and exact square
+roots come in a univariate flavour (int keys) and a bivariate one (pairs).
 
 Both multiplications loop over every pair of terms while the shorter
 operand has fewer than ``_CROSSOVER`` terms: for the two- and three-term
@@ -11,8 +11,8 @@ there is.  From ``_CROSSOVER`` terms on they hand the product to one
 Kronecker substitution, ``_packed_mul``: each operand becomes one Python
 int, with one fixed-width byte slot per exponent step, and a single
 big-int multiply (Karatsuba in CPython) forms every coefficient at once.
-A bivariate key (x, y) packs as x·W + y first, with W wider than any y of
-the product, so one packed kernel serves both arities.
+A bivariate key (x, y) folds to x·W + y first (``_fold``), with W wider
+than any y of the product, so one packed kernel serves both arities.
 
 Packing pays for every slot between the lowest and the highest key, empty
 or not: its bytes in the multiply, and a fixed cost to unpack it.  So a
@@ -24,17 +24,19 @@ size must also stay below the geometric mean of the pairs and that
 threshold.  Sparse operands, such as a few terms spread over a wide
 exponent range, therefore never allocate that range.
 
-Exact square roots pack the same way.  ``_packed_sqrt`` evaluates a square
-f at 2^(8s), with s-byte slots, as one int F, takes ``math.isqrt(F)`` and
-reads a candidate root off the balanced base-2^(8s) digits of the result.
-The candidate counts only once its square, formed by ``_packed_mul`` or
-the pair loop, is f; whenever the path cannot decide it returns None and
-the long division in ``laurent`` decides.  A square is packed only from
-``_SQRT_FROM`` terms on and with at most ``_SQRT_FILL`` slots per term.
+Exact square roots pack the same way.  ``sqrt_terms`` first tries
+``_packed_sqrt``: it evaluates a square f at 2^(8s), with s-byte slots, as
+one int F, takes ``math.isqrt(F)`` and reads a candidate root off the
+balanced base-2^(8s) digits.  The candidate counts only once its square,
+by ``_packed_mul`` or the pair loop, is f; whenever the path cannot decide,
+the long division ``_divided_sqrt`` does.  A square packs only from
+``_SQRT_FROM`` terms on, at most ``_SQRT_FILL`` slots per term;
+``bi_sqrt_terms`` folds its square as the products do.
 ``_pack`` and ``_unpack`` are the one byte packing that both packed
 kernels share.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 # Shorter-operand length from which a product may be packed; the least
@@ -116,33 +118,40 @@ def bi_mul_terms(a, b):
     if len(a) > len(b):
         a, b = b, a
     if len(a) >= _CROSSOVER:
-        # (x, y) -> x'·W + y', each variable shifted to its minimum in the
-        # operand and divided by its stride; W is past the largest y' sum
-        # of the product, so no y' carries into x'
+        # each variable shifted to its minimum in the operand and divided by
+        # its stride; W is past the largest y' sum of the product, so no y'
+        # carries into x'
         (xa, ya), (xb, yb) = zip(*a), zip(*b)
         lo_xa, lo_ya, lo_xb, lo_yb = min(xa), min(ya), min(xb), min(yb)
-        step_x = gcd(*(x - lo_xa for x in xa), *(x - lo_xb for x in xb)) or 1
-        step_y = gcd(*(y - lo_ya for y in ya), *(y - lo_yb for y in yb)) or 1
-        width = (max(ya) - lo_ya + max(yb) - lo_yb) // step_y + 1
-
-        def pack(terms, lo_x, lo_y):
-            return {(x - lo_x) // step_x * width + (y - lo_y) // step_y: c
-                    for (x, y), c in terms.items()}
-
-        packed_a = pack(a, lo_xa, lo_ya)
-        packed = _packed_mul(packed_a, packed_a if a is b else pack(b, lo_xb, lo_yb))
+        step = (gcd(*(x - lo_xa for x in xa), *(x - lo_xb for x in xb)) or 1,
+                gcd(*(y - lo_ya for y in ya), *(y - lo_yb for y in yb)) or 1)
+        width = (max(ya) - lo_ya + max(yb) - lo_yb) // step[1] + 1
+        packed_a = _fold(a, (lo_xa, lo_ya), step, width)
+        packed = _packed_mul(packed_a,
+                             packed_a if a is b else _fold(b, (lo_xb, lo_yb), step, width))
         if packed is not None:
-            out = {}
-            for key, c in packed.items():
-                x, y = divmod(key, width)
-                out[(lo_xa + lo_xb + step_x * x, lo_ya + lo_yb + step_y * y)] = c
-            return out
+            return _unfold(packed, (lo_xa + lo_xb, lo_ya + lo_yb), step, width)
     acc = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
             k = (ka[0] + kb[0], ka[1] + kb[1])
             acc[k] = acc.get(k, 0) + ca * cb
     return {k: v for k, v in acc.items() if v}
+
+
+def _fold(terms, lo, step, width):
+    """A bivariate term dict on the int keys x'·W + y', W = ``width``,
+    x' = (x - lo_x) / step_x and y' likewise; one-to-one while y' < W."""
+    (lo_x, lo_y), (step_x, step_y) = lo, step
+    return {(x - lo_x) // step_x * width + (y - lo_y) // step_y: c
+            for (x, y), c in terms.items()}
+
+
+def _unfold(terms, lo, step, width):
+    """The inverse of ``_fold``, in the key order of ``terms``."""
+    (lo_x, lo_y), (step_x, step_y) = lo, step
+    return {(lo_x + step_x * (key // width), lo_y + step_y * (key % width)): c
+            for key, c in terms.items()}
 
 
 def _packed_mul(a, b):
@@ -167,6 +176,37 @@ def _packed_mul(a, b):
     product = packed_a * packed_a if a is b else packed_a * _pack(b, lo_b, step, len_b, width)
     lo = lo_a + lo_b
     return _unpack(product, range(lo, lo + step * slots, step), width)
+
+
+def sqrt_terms(terms):
+    """Square root of a univariate numerator-keyed dict, normalised to a
+    positive leading coefficient; None, always from the long division,
+    when no root with integer coefficients exists on the half-exponent
+    lattice."""
+    root = _packed_sqrt(terms)
+    return _divided_sqrt(terms) if root is None else root
+
+
+def bi_sqrt_terms(terms):
+    """``sqrt_terms`` of a bivariate dict, positive at its largest key, taken
+    once on the square shifted to (0, 0) and folded with W one more than
+    its largest y.  A root with 2·y < W on every term squares to the input
+    and every true root has one; any other carried between the folded
+    fields and is refused.  The fold does not divide by strides, so an even
+    numerator step leaves every other slot or row empty, past
+    ``_SQRT_FILL``: only a square with one row, or with half-integer
+    exponents in both variables, reaches the packed root."""
+    if not terms:
+        return {}
+    xs, ys = zip(*terms)
+    lo_x, lo_y = min(xs), min(ys)
+    if lo_x % 2 or lo_y % 2:
+        return None
+    width = max(ys) - lo_y + 1
+    root = sqrt_terms(_fold(terms, (lo_x, lo_y), (1, 1), width))
+    if root is None or any(2 * (key % width) >= width for key in root):
+        return None
+    return _unfold(root, (lo_x // 2, lo_y // 2), (1, 1), width)
 
 
 def _packed_sqrt(terms):
@@ -208,6 +248,47 @@ def _packed_sqrt(terms):
         square = _pair_mul(root, root)
     # in descending key order, as the long division builds its root
     return dict(reversed(root.items())) if square == terms else None
+
+
+def _divided_sqrt(terms):
+    """``sqrt_terms`` by long division from the top down, on a dict
+    remainder with a heap of its keys and a list of the nonzero root
+    terms: a step costs one update per root term, whatever the gaps
+    between exponents."""
+    if not terms:
+        return {}
+    lo, hi = min(terms), max(terms)
+    lead = terms[hi]
+    root_lead = isqrt(max(lead, 0))
+    if lo % 2 or hi % 2 or root_lead * root_lead != lead:
+        return None
+    half, twice = hi // 2, 2 * root_lead
+    rem = dict(terms)
+    heap = [-k for k in rem if k != hi]
+    heapify(heap)
+    root = [(half, root_lead)]
+    while heap:
+        top = -heappop(heap)
+        if not rem[top]:
+            continue
+        exp = top - half
+        q, leftover = divmod(rem[top], twice)
+        if leftover or 2 * exp < lo:
+            return None
+        # rem -= q*s^exp * (2*root + q*s^exp): with (exp, q) appended, the
+        # loop takes 2*q^2 at 2*exp and one q^2 goes back; the root's lead
+        # clears rem[top], and every other key lies below top
+        root.append((exp, q))
+        tq = 2 * q
+        for j, c in root:
+            k = exp + j
+            v = rem.get(k)
+            if v is None:
+                heappush(heap, -k)
+                v = 0
+            rem[k] = v - tq * c
+        rem[2 * exp] += q * q
+    return dict(root)
 
 
 def _root_width(terms):

@@ -12,35 +12,11 @@ import cmath
 import json
 import math
 
-from ._kernels import add_terms, bi_mul_terms, neg_terms, scale_terms, sub_terms
+from ._kernels import add_terms, bi_mul_terms, bi_sqrt_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import (_check_names, _point, _pow_str, _sqrt_terms, _substitute, _TermPoly,
-                      _to_numerator)
+from .laurent import _check_names, _point, _pow_str, _substitute, _TermPoly, _to_numerator
 
 __all__ = ["BiPoly", "RadicalExpr"]
-
-
-def _bi_sqrt_terms(terms):
-    """Exact square root of a bivariate numerator-keyed dict, normalised
-    to a positive coefficient at its largest key; None when there is
-    none.  ``BiPoly.sqrt`` gives the packing and its bound."""
-    if not terms:
-        return {}
-    min_a = min(na for na, _ in terms)
-    min_b = min(nb for _, nb in terms)
-    if min_a % 2 or min_b % 2:
-        return None
-    width = max(nb for _, nb in terms) - min_b + 1
-    root = _sqrt_terms({(na - min_a) * width + nb - min_b: c for (na, nb), c in terms.items()})
-    if root is None:
-        return None
-    out = {}
-    for key, c in root.items():
-        ra, rb = divmod(key, width)
-        if 2 * rb >= width:
-            return None
-        out[(ra + min_a // 2, rb + min_b // 2)] = c
-    return out
 
 
 class BiPoly(_TermPoly):
@@ -141,15 +117,10 @@ class BiPoly(_TermPoly):
         polynomial is a perfect square the radicand list is empty;
         otherwise the largest extractable monomial square (including a
         perfect-square integer content) moves into the prefactor and
-        the remainder stays under a single formal root.
-
-        Perfect squares are found by the univariate root on keys packed
-        as (a, b) -> a·W + b, W one more than the largest b.  Packing is
-        one-to-one below b-degree W, so a root with 2·b < W on every term
-        squares to the input, and a true root has 2·b <= W - 1.  Zero is
-        its own root.
+        the remainder stays under a single formal root.  Zero is its own
+        root.
         """
-        whole = _bi_sqrt_terms(self.terms)
+        whole = bi_sqrt_terms(self.terms)
         if whole is not None:
             return RadicalExpr._raw(self._like(whole), [])
         content = 0

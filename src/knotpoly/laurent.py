@@ -15,15 +15,12 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
-from heapq import heapify, heappop, heappush
 
-from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sub_terms
-from ._kernels.pure import _packed_sqrt
+from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sqrt_terms, sub_terms
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
 
 __all__ = ["LaurentPoly"]
@@ -110,63 +107,6 @@ def _pow_str(variable: str, num: int) -> str:
         k = num // 2
         return f"{variable}^{k}" if k > 0 else f"{variable}^({k})"
     return f"{variable}^({num}/2)"
-
-
-def _sqrt_terms(terms):
-    """Square root of a univariate numerator-keyed dict, normalised to a
-    positive leading coefficient; None when no root with integer
-    coefficients exists on the half-exponent lattice.
-
-    A square long and dense enough is first tried as one packed integer
-    square root (``_packed_sqrt``), whose candidate counts only once its
-    square is the input; the long division decides every case that path
-    leaves open, so a None always comes from the division.  ``BiPoly.sqrt``
-    calls it on packed keys and bounds the unpacked root's degree, as a
-    root whose square carries between the packed fields is no root.
-    """
-    root = _packed_sqrt(terms)
-    return _divided_sqrt(terms) if root is None else root
-
-
-def _divided_sqrt(terms):
-    """``_sqrt_terms`` by long division from the top down, on a dict
-    remainder with a heap of its keys and a list of the nonzero root
-    terms: a step costs one update per root term, whatever the gaps
-    between exponents."""
-    if not terms:
-        return {}
-    lo, hi = min(terms), max(terms)
-    lead = terms[hi]
-    root_lead = math.isqrt(max(lead, 0))
-    if lo % 2 or hi % 2 or root_lead * root_lead != lead:
-        return None
-    half, twice = hi // 2, 2 * root_lead
-    rem = dict(terms)
-    heap = [-k for k in rem if k != hi]
-    heapify(heap)
-    root = [(half, root_lead)]
-    while heap:
-        top = -heappop(heap)
-        if not rem[top]:
-            continue
-        exp = top - half
-        q, leftover = divmod(rem[top], twice)
-        if leftover or 2 * exp < lo:
-            return None
-        # rem -= q*s^exp * (2*root + q*s^exp): with (exp, q) appended, the
-        # loop takes 2*q^2 at 2*exp and one q^2 goes back; the root's lead
-        # clears rem[top], and every other key lies below top
-        root.append((exp, q))
-        tq = 2 * q
-        for j, c in root:
-            k = exp + j
-            v = rem.get(k)
-            if v is None:
-                heappush(heap, -k)
-                v = 0
-            rem[k] = v - tq * c
-        rem[2 * exp] += q * q
-    return dict(root)
 
 
 def _substitute(source, images):
@@ -629,7 +569,7 @@ class LaurentPoly(_TermPoly):
         Raises NotAPerfectSquare when no root with integer coefficients
         exists on the half-exponent lattice.  Zero is its own root.
         """
-        root = _sqrt_terms(self.terms)
+        root = sqrt_terms(self.terms)
         if root is None:
             raise NotAPerfectSquare(f"{self._brief()} is not a perfect square")
         return self._like(root)

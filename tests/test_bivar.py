@@ -134,12 +134,14 @@ class TestSqrt:
     def test_packed_root_with_carry_is_no_root(self):
         # 1 + 2p + q^(1/2)p^(1/2) packs (W = 3) to (1 + u^2)^2; that root
         # unpacks to 1 + p, whose p-degree is too high and whose square
-        # is not the input
-        f = BiPoly({(0, 0): 1, (0, 2): 2, (1, 1): 1})
-        result = f.sqrt()
-        assert result.prefactor == 1
-        assert result.radicands == [f]
-        assert result.square() == f
+        # is not the input.  1 + 2p^(1/2) + q^(1/2) packs (W = 2) to
+        # (1 + u)^2, whose root unpacks to 1 + p^(1/2), at 2·b = W exactly
+        for f in (BiPoly({(0, 0): 1, (0, 2): 2, (1, 1): 1}),
+                  BiPoly({(0, 0): 1, (0, 1): 2, (1, 0): 1})):
+            result = f.sqrt()
+            assert result.prefactor == 1
+            assert result.radicands == [f]
+            assert result.square() == f
 
 
 class TestRadicalExpr:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotpoly
-from knotpoly import BiPoly, LaurentPoly, bivar, laurent
+from knotpoly import LaurentPoly
 from knotpoly._kernels import pure
 from knotpoly.errors import NotAPerfectSquare
 
@@ -32,6 +32,23 @@ def test_pure_results_canonical(a, b, c, d):
         pure.bi_mul_terms(c, d),
     ):
         assert all(v != 0 for v in result.values())
+    for root_of, mul, f in ((pure.sqrt_terms, pure.mul_terms, a),
+                            (pure.bi_sqrt_terms, pure.bi_mul_terms, c)):
+        square = mul(f, f)
+        root = root_of(square)
+        assert all(v != 0 for v in root.values())
+        assert not root or root[max(root)] > 0
+        assert mul(root, root) == square
+    for step in ((1, 1), (2, 4), (4, 2)):
+        # c's keys times the strides: negative minima, holes between keys
+        terms = {(step[0] * x, step[1] * y): v for (x, y), v in c.items()}
+        if terms:
+            xs, ys = zip(*terms)
+            lo = (min(xs), min(ys))
+            width = (max(ys) - lo[1]) // step[1] + 1
+            folded = pure._fold(terms, lo, step, width)
+            assert len(folded) == len(terms)
+            assert list(pure._unfold(folded, lo, step, width).items()) == list(terms.items())
 
 
 def test_backend_reported():
@@ -234,24 +251,19 @@ def _sqrt_cases(draw):
 @given(case=_sqrt_cases())
 def test_packed_root_matches_the_long_division(case):
     bivariate, root, square, near, must_pack = case
+    kernel = pure.bi_sqrt_terms if bivariate else pure.sqrt_terms
     for terms in (square, *near):
         if bivariate:
-            with mock.patch.object(bivar, "_sqrt_terms", laurent._divided_sqrt):
-                want = BiPoly(terms).sqrt()
-            with mock.patch.object(laurent, "_divided_sqrt",
-                                   wraps=laurent._divided_sqrt) as division:
-                got = BiPoly(terms).sqrt()
-            assert got.prefactor.terms == want.prefactor.terms
-            assert [r.terms for r in got.radicands] == [r.terms for r in want.radicands]
-            got = None if got.radicands else got.prefactor.terms
+            with mock.patch.object(pure, "sqrt_terms", pure._divided_sqrt):
+                want = kernel(terms)
         else:
-            want = laurent._divided_sqrt(terms)
-            with mock.patch.object(laurent, "_divided_sqrt",
-                                   wraps=laurent._divided_sqrt) as division:
-                got = laurent._sqrt_terms(terms)
-            assert got == want
-            assert list(got or ()) == list(want or ())   # the same descending key order
+            want = pure._divided_sqrt(terms)
             assert pure._packed_sqrt(terms) in (None, want)
+        with mock.patch.object(pure, "_divided_sqrt", wraps=pure._divided_sqrt) as division:
+            got = kernel(terms)
+        assert got == want
+        # the same key order, descending, as the long division builds its root
+        assert list(got or ()) == list(want or ()) == sorted(got or (), reverse=True)
         if terms is square:
             assert got == root
             assert not (must_pack and division.called)
