@@ -162,19 +162,12 @@ class BiPoly(_TermPoly):
     # -- rendering ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        va, vb = self._names
-        return {
-            "variables": [va, vb],
-            "den": 2,
-            "terms": [
-                {"numA": na, "numB": nb, "coeff": str(self.terms[(na, nb)])}
-                for na, nb in sorted(self.terms, reverse=True)
-            ],
-        }
+        return json.loads(self._json_text())
 
     def _json_text(self) -> str:
-        # ``json.dumps(self.to_json_dict())``, written from the terms: the
-        # numerators and the digit strings need no escaping, the names do
+        # the canonical JSON form, as ``json.dumps`` spaces it, written from
+        # the terms: the numerators and the digit strings need no escaping,
+        # the names do
         body = ", ".join([f'{{"numA": {na}, "numB": {nb}, "coeff": "{coeff}"}}'
                           for (na, nb), coeff in sorted(self.terms.items(), reverse=True)])
         names = json.dumps(list(self._names))

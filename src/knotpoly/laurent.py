@@ -48,15 +48,18 @@ def _to_numerator(exponent) -> int:
 
 def _check_names(names, arity: int):
     """Variable names given by a caller: one str for ``arity`` 1, or a
-    list or tuple of two strs for ``arity`` 2, returned as a tuple.  A
-    name may not be empty, as its powers would then print as nothing."""
+    list or tuple of two distinct strs for ``arity`` 2, returned as a
+    tuple.  A name may not be empty, as its powers would then print as
+    nothing, and the two may not be equal, as two different terms would
+    then print as the same monomial."""
     if arity == 1:
         if not (isinstance(names, str) and names):
             raise ValueError(f'field "variable" is not a string, or is empty: {names!r}')
         return names
     if not (isinstance(names, (list, tuple)) and len(names) == 2
-            and all(isinstance(v, str) and v for v in names)):
-        raise ValueError(f'field "variables" is not a pair of strings, or one is empty: {names!r}')
+            and all(isinstance(v, str) and v for v in names) and names[0] != names[1]):
+        raise ValueError(f'field "variables" is not a pair of strings, or one is empty, '
+                         f'or the two are equal: {names!r}')
     return tuple(names)
 
 
@@ -225,10 +228,13 @@ def _remap(source, monos, unit):
 
 
 def _point(value) -> complex:
-    """``complex(value)`` for an evaluation point; NaN raises ValueError on every path."""
+    """``complex(value)`` for an evaluation point.  On every path NaN raises
+    ValueError and an infinite coordinate OverflowError, as ``Fraction`` does."""
     z = complex(value)
     if cmath.isnan(z):
         raise ValueError(f"cannot evaluate at {value!r}: not a number")
+    if cmath.isinf(z):
+        raise OverflowError(f"cannot evaluate at {value!r}: not finite")
     return z
 
 
@@ -240,7 +246,7 @@ def _exact_real_sum(terms, x: float) -> float:
     acc = sum(c_k m^(k - lo) 2^(e (hi - k))); the sum is acc m^lo / 2^(e hi),
     and the int division rounds it correctly.
     """
-    m, d = x.as_integer_ratio()  # raises on inf and nan
+    m, d = x.as_integer_ratio()  # x is finite: ``_point`` refused inf and nan
     if not terms:
         return 0.0
     e = d.bit_length() - 1
@@ -599,18 +605,12 @@ class LaurentPoly(_TermPoly):
     # -- rendering ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "variable": self._names,
-            "den": 2,
-            "terms": [
-                {"num": num, "coeff": str(self.terms[num])}
-                for num in sorted(self.terms, reverse=True)
-            ],
-        }
+        return json.loads(self._json_text())
 
     def _json_text(self) -> str:
-        # ``json.dumps(self.to_json_dict())``, written from the terms: the
-        # numerators and the digit strings need no escaping, the name does
+        # the canonical JSON form, as ``json.dumps`` spaces it, written from
+        # the terms: the numerators and the digit strings need no escaping,
+        # the name does
         body = ", ".join([f'{{"num": {num}, "coeff": "{coeff}"}}'
                           for num, coeff in sorted(self.terms.items(), reverse=True)])
         return f'{{"variable": {json.dumps(self._names)}, "den": 2, "terms": [{body}]}}'

@@ -307,6 +307,23 @@ def test_eval_complex_refuses_nan(evaluate):
         evaluate()
 
 
+# an infinite coordinate raises OverflowError, as ``Fraction(inf)`` does, on
+# every path: not an answer such as nan+nanj, nor an error from deeper down
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda: LaurentPoly.one().eval_complex(math.inf), id="laurent-exact-real"),
+    pytest.param(lambda: LaurentPoly({1: 1}).eval_complex(-math.inf), id="laurent-half-exponent"),
+    pytest.param(lambda: LaurentPoly({4: 1}).eval_complex(complex(1, math.inf)),
+                 id="laurent-complex-point"),
+    pytest.param(lambda: BiPoly.one().eval_complex((math.inf, 1)), id="bivar-first"),
+    pytest.param(lambda: BiPoly({(0, -2): 1}).eval_complex((1, math.inf)), id="bivar-second"),
+    pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), [BiPoly({(0, 2): 1, (0, 0): -2})])
+                 .eval_complex((1, math.inf)), id="radical"),
+])
+def test_eval_complex_refuses_an_infinite_coordinate(evaluate):
+    with pytest.raises(OverflowError, match="not finite"):
+        evaluate()
+
+
 # -- the rx sequence is built once per run ---------------------------------
 
 
