@@ -3,13 +3,15 @@
 Addition, subtraction, negation and scaling are one pass over the terms.
 The two multiplications, ``mul_terms`` (int keys) and ``bi_mul_terms``
 (pairs of ints), loop over the pairs of terms while the shorter operand is
-below a measured crossover; above it, a product dense enough for the
-density guard runs as one Kronecker-packed big-int multiply, which both
-arities share.  The two exact square roots, ``sqrt_terms`` and
-``bi_sqrt_terms``, try a square long and dense enough as one packed
-integer square root and leave every other case to a long division; the
-bivariate kernels of both kinds fold a key (x, y) onto one int the same
-way.  ``compose`` and ``substitute`` split their source so that their work
+below a measured crossover, one row per term of the shorter operand: the
+first row is one dict comprehension, the others add into it, and zeros
+are dropped only when some sum cancelled.  Above the crossover, a product
+dense enough for the density guard runs as one Kronecker-packed big-int
+multiply, which both arities share.  The two exact square roots,
+``sqrt_terms`` and ``bi_sqrt_terms``, try a square long and dense enough
+as one packed integer square root and leave every other case to a long
+division; the bivariate kernels of both kinds fold a key (x, y) onto one
+int the same way.  ``compose`` and ``substitute`` split their source so that their work
 is balanced products that reach the packed multiply.
 """
 

@@ -5,12 +5,16 @@ add/sub/neg/scale kernels are key-agnostic; products and exact square
 roots come in a univariate flavour (int keys) and a bivariate one (pairs).
 
 Both multiplications loop over every pair of terms while the shorter
-operand has fewer than ``_CROSSOVER`` terms: for the two- and three-term
-factors of recurrence steps and Horner images that loop is the fastest
-there is.  From ``_CROSSOVER`` terms on they hand the product to one
-Kronecker substitution, ``_packed_mul``: each operand becomes one Python
-int, with one fixed-width byte slot per exponent step, and a single
-big-int multiply (Karatsuba in CPython) forms every coefficient at once.
+operand has fewer than ``_CROSSOVER`` terms, row by row: the shorter
+operand's first term times every term of the longer one is one dict
+comprehension, each further term adds its row into that dict, and only a
+product in which some sum cancelled takes a pass to drop its zeros.  For
+the one- and two-term factors of recurrence steps and Horner images that
+loop is the fastest there is.  From ``_CROSSOVER`` terms on they hand the
+product to one Kronecker substitution, ``_packed_mul``: each operand
+becomes one Python int, with one fixed-width byte slot per exponent step,
+and a single big-int multiply (Karatsuba in CPython) forms every
+coefficient at once.
 A bivariate key (x, y) folds to x·W + y first (``_fold``), with W wider
 than any y of the product, so one packed kernel serves both arities.
 
@@ -41,11 +45,14 @@ from math import gcd, isqrt
 
 # Shorter-operand length from which a product may be packed; the least
 # byte cost of a slot in the density guard; and the log2 of the pair count
-# past which the guard tightens.  All three were measured against the pair
-# loop on products of 8-2000 by 10-3000 terms, with fills from 1 to 1/100
-# and 1- to 64-bit coefficients: under the guard no packed product there
-# ran more than 1.5x slower than the loop, and no refused one more than
-# 2x faster, except sparse ones with 1-bit coefficients (up to 2.8x).
+# past which the guard tightens.  All three were set against the pair loop
+# on products of 8-2000 by 10-3000 terms, with fills from 1 to 1/100 and
+# 1- to 64-bit coefficients.  Re-timed against the row-first loop at the
+# margin, shorter sides of 9-12 terms by 20-200, fills 1, 1/2 and 1/4, 1-
+# and 64-bit coefficients, both arities: under the guard no packed product
+# ran more than 1.2x slower than the loop, and no refused one would have
+# run more than 1.8x faster packed (1.4x univariate, both at 64-bit
+# coefficients); packing a 9-term side would have gained at most 1.4x.
 _CROSSOVER = 10
 _SLOT_FLOOR = 8
 _KARATSUBA_FROM = 19
@@ -106,12 +113,22 @@ def mul_terms(a, b):
 
 
 def _pair_mul(a, b):
-    acc = {}
-    for ka, ca in a.items():
+    """The product of two int-keyed term dicts, row by row over ``a``: the
+    first row, a's first term times every term of ``b``, is one
+    comprehension, and each further row adds into it.  Only a product in
+    which some sum cancelled pays a pass to drop the zeros, found by one
+    scan of the values; a single row has none, every coefficient being
+    nonzero."""
+    if not a:
+        return {}
+    rows = iter(a.items())
+    ka, ca = next(rows)
+    out = {ka + kb: ca * cb for kb, cb in b.items()}
+    for ka, ca in rows:
         for kb, cb in b.items():
             k = ka + kb
-            acc[k] = acc.get(k, 0) + ca * cb
-    return {k: v for k, v in acc.items() if v}
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: v for k, v in out.items() if v} if len(a) > 1 and 0 in out.values() else out
 
 
 def bi_mul_terms(a, b):
@@ -131,12 +148,17 @@ def bi_mul_terms(a, b):
                              packed_a if a is b else _fold(b, (lo_xb, lo_yb), step, width))
         if packed is not None:
             return _unfold(packed, (lo_xa + lo_xb, lo_ya + lo_yb), step, width)
-    acc = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = (ka[0] + kb[0], ka[1] + kb[1])
-            acc[k] = acc.get(k, 0) + ca * cb
-    return {k: v for k, v in acc.items() if v}
+    # ``_pair_mul``'s loop on pair keys
+    if not a:
+        return {}
+    rows = iter(a.items())
+    (xa, ya), ca = next(rows)
+    out = {(xa + xb, ya + yb): ca * cb for (xb, yb), cb in b.items()}
+    for (xa, ya), ca in rows:
+        for (xb, yb), cb in b.items():
+            k = (xa + xb, ya + yb)
+            out[k] = out.get(k, 0) + ca * cb
+    return {k: v for k, v in out.items() if v} if len(a) > 1 and 0 in out.values() else out
 
 
 def _fold(terms, lo, step, width):

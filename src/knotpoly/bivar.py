@@ -269,7 +269,10 @@ class RadicalExpr:
 
     def render(self, style: str = "text", *, ascending: bool = True) -> str:
         if style == "json":
-            return json.dumps(self.to_json_dict())
+            # ``json.dumps(self.to_json_dict())``, written from each part's
+            # JSON text with no dict in between
+            radicands = ", ".join([rad._json_text() for rad in self.radicands])
+            return f'{{"prefactor": {self.prefactor._json_text()}, "radicands": [{radicands}]}}'
         if style != "text":
             raise ValueError(f"unknown style {style!r}")
         if not self.radicands:

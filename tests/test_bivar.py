@@ -234,6 +234,19 @@ class TestRadicalExpr:
                 {"numA": 0, "numB": 2, "coeff": "1"}, {"numA": 0, "numB": 0, "coeff": "-2"}]}],
         }
 
+    @pytest.mark.parametrize("expr", [
+        pytest.param(lambda: RadicalExpr(_c(0)), id="zero"),
+        pytest.param(lambda: (a * a * z * z).sqrt(), id="radical-free"),
+        pytest.param(lambda: (r * x - 2 * r).sqrt(), id="radicand"),
+        pytest.param(lambda: RadicalExpr(BiPoly({(-2, 1): 3}, ("a", "z")) - z, [a * z**3 + 7]), id="radicand-prefactor"),
+        pytest.param(lambda: RadicalExpr(BiPoly.gens(("θ", 'a"b'))[0] + 1,
+                                         [BiPoly.gens(("θ", 'a"b'))[1] - 2**70]),
+                     id="escaped-names"),
+    ])
+    def test_render_json_is_the_dumped_dict(self, expr):
+        value = expr()
+        assert value.render("json") == json.dumps(value.to_json_dict())
+
     def test_repr_round_trips(self):
         expr = (r * x - 2 * r).sqrt()
         assert eval(repr(expr), {"BiPoly": BiPoly, "RadicalExpr": RadicalExpr}) == expr

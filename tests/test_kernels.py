@@ -101,11 +101,11 @@ def _mirror(a):
 
 
 @st.composite
-def _uni_pairs(draw):
-    short = draw(_short_sizes)
+def _uni_pairs(draw, short_sizes=_short_sizes, long_sizes=_long_sizes):
+    short = draw(short_sizes)
     bits = draw(st.sampled_from((3, 16, 64)))
     out = []
-    for n in (short, draw(_long_sizes(short))):
+    for n in (short, draw(long_sizes(short))):
         offset, stride = _lattice(draw)
         keys = [offset + stride * i for i in _steps(draw, n)]
         out.append(dict(zip(keys, _coefficients(draw, n, bits))))
@@ -115,11 +115,11 @@ def _uni_pairs(draw):
 
 
 @st.composite
-def _bi_pairs(draw):
-    short = draw(_short_sizes)
+def _bi_pairs(draw, short_sizes=_short_sizes, long_sizes=_long_sizes):
+    short = draw(short_sizes)
     bits = draw(st.sampled_from((3, 16, 64)))
     out = []
-    for n in (short, draw(_long_sizes(short))):
+    for n in (short, draw(long_sizes(short))):
         # the cells of a grid row by row, a row `cols` wide: each operand
         # has its own lattices and width, y minima go down to -40, so the
         # y-spans differ and the packing width W is the sum of both
@@ -146,6 +146,41 @@ def test_bi_mul_terms_matches_the_pair_loop(pair):
     a, b = pair
     assert pure.bi_mul_terms(a, b) == naive_bi_mul_terms(a, b)
     assert pure.bi_mul_terms(a, a) == naive_bi_mul_terms(a, a)
+
+
+# -- the row-first pair loop against the naive product ------------------------
+
+# Most products in the recurrences and Horner steps have a shorter side of
+# 2-8 terms, which ``_short_sizes`` skips: each of its terms is one row of
+# the pair loop, added into the first row, and a cancelled sum must not
+# leave its key behind.
+@pytest.mark.parametrize("kernel, naive, pairs", [
+    pytest.param(pure.mul_terms, naive_mul_terms, _uni_pairs, id="univariate"),
+    pytest.param(pure.bi_mul_terms, naive_bi_mul_terms, _bi_pairs, id="bivariate"),
+])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_short_rows_match_the_naive_product(kernel, naive, pairs, data):
+    # a 0-8-term operand against a 1-64-term one, or against its mirror
+    a, b = data.draw(pairs(st.integers(0, 8), lambda short: st.integers(1, 64)))
+    for left, right in ((a, b), (b, a), (a, a)):
+        product = kernel(left, right)
+        assert product == naive(left, right)
+        assert all(product.values())
+
+
+@pytest.mark.parametrize("kernel, key", [
+    pytest.param(pure.mul_terms, lambda k: k, id="univariate"),
+    pytest.param(pure.bi_mul_terms, lambda k: (k, -k), id="bivariate"),
+])
+def test_a_key_cancelled_in_one_row_comes_back_in_a_later_one(kernel, key):
+    # rows t^0, t^1, t^2 of a times b: t^1 gets 1, then -1, then 5; t^2 gets
+    # 1, then -1 and stays cancelled
+    a = {key(0): 1, key(1): 1, key(2): 1}
+    b = {key(1): 1, key(0): -1, key(-1): 5, key(10): 1}
+    assert kernel(a, b) == {key(-1): 5, key(0): 4, key(1): 5, key(3): 1, key(10): 1,
+                            key(11): 1, key(12): 1}
+    assert kernel(b, a) == kernel(a, b)
 
 
 @pytest.mark.parametrize("n", [_CROSSOVER - 1, _CROSSOVER, 40])
