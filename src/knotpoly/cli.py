@@ -101,24 +101,16 @@ def _cmd_skein_derive(args):
     coeffs = derive_skein(c1, c2)
     back = compose_skein(coeffs.b1, coeffs.b2)
     roundtrip_ok = back == (c1, c2)
+    named = (("c1", c1), ("c2", c2), ("b1", coeffs.b1), ("b2", coeffs.b2))
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "family": args.family,
-                    "c1": c1.to_json_dict(),
-                    "c2": c2.to_json_dict(),
-                    "b1": coeffs.b1.to_json_dict(),
-                    "b2": coeffs.b2.to_json_dict(),
-                    "roundtrip_ok": roundtrip_ok,
-                }
-            )
-        )
+        # json.dumps of the report, joined as one string as ``_cmd_table``
+        # joins its rows: each value writes its own JSON
+        values = "".join([f', "{name}": {value.render("json")}' for name, value in named])
+        print(f'{{"family": {json.dumps(args.family)}{values}, '
+              f'"roundtrip_ok": {json.dumps(roundtrip_ok)}}}')
     else:
-        print(f"c1 = {c1.render(ascending=ascending)}")
-        print(f"c2 = {c2.render(ascending=ascending)}")
-        print(f"b1 = {coeffs.b1.render(ascending=ascending)}")
-        print(f"b2 = {coeffs.b2.render(ascending=ascending)}")
+        for name, value in named:
+            print(f"{name} = {value.render(ascending=ascending)}")
     if roundtrip_ok:
         return 0
     back_c1, back_c2 = (c.render(ascending=ascending) for c in back)
@@ -128,6 +120,12 @@ def _cmd_skein_derive(args):
 
 
 def _cmd_verify(args):
+    try:
+        identities.check(args.suite, args.max_n)
+    except ValueError as exc:
+        # refused before any sequence is built, as a usage error
+        print(f"knotpoly verify: error: {exc}", file=sys.stderr)
+        return 2
     passed, total, failures = identities.run(args.suite, args.max_n)
     if args.format == "json":
         report = {"suite": args.suite, "max_n": args.max_n, "passed": passed,

@@ -10,7 +10,8 @@ their bodies, so each call looks them up in this module's globals.  Modes:
 identity, the first indexed ``start``.  ``numeric`` evaluates ``lhs`` at
 every ``(label, point, want)`` sample of ``rhs`` and needs an error within
 ``TOL``: absolute, or relative to ``max(1, |want|)`` for a ``relative``
-entry.  Only the trigonometric values, which have no exact algebra, use it.
+entry.  Only the trigonometric values, which have no exact algebra, use it,
+and a suite with such an entry runs only up to ``NUMERIC_MAX_N``.
 """
 
 from __future__ import annotations
@@ -38,11 +39,15 @@ from .invariants import (
 from .laurent import LaurentPoly
 from .qnumbers import qnum_closed, qnum_rec_seq, qpnum_closed, qpnum_rec_seq
 
-__all__ = ["IDENTITIES", "SUITES", "TOL", "Identity", "run"]
+__all__ = ["IDENTITIES", "NUMERIC_MAX_N", "SUITES", "TOL", "Identity", "check", "run"]
 
 TOL = 1e-9
 _THETAS = (0.3, 0.7, 1.1, 2.0)
 _RADII = (0.5, 1.0, 2.0)
+# The largest n whose float samples are finite: the q,p-number entry expects
+# r^(n-1)·sin(nθ)/sin(θ), which at r = 2 passes the largest float, just under
+# 2^1024, from n = 1024 on, and r^(n-1) itself overflows from n = 1025.
+NUMERIC_MAX_N = 1023
 _T = LaurentPoly.gen("t")
 _T_INV = LaurentPoly._make("t", {-2: 1})
 _T_PLUS_INV = LaurentPoly._make("t", {2: 1, -2: 1})
@@ -169,12 +174,20 @@ def _numeric(ident, seq, max_n):
 _MODES = {"exact": _exact, "skein": _skein, "numeric": _numeric}
 
 
+def check(suite: str, max_n: int) -> None:
+    """Raise ValueError for a request ``run`` refuses: an unknown suite, or
+    ``max_n`` past ``NUMERIC_MAX_N`` in a suite with a numeric entry."""
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    if max_n > NUMERIC_MAX_N and any(i.mode == "numeric" for i in IDENTITIES if i.suite == suite):
+        raise ValueError(f"suite {suite!r} samples floats, which support n up to {NUMERIC_MAX_N}")
+
+
 def run(suite: str, max_n: int):
     """Check every identity of ``suite`` up to index ``max_n``: returns
     ``(passed, total, failures)``, one ``"<identity> n=<index>: <detail>"``
-    line per failure."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
+    line per failure.  ``check`` refuses the request first."""
+    check(suite, max_n)
     built = {}
 
     def seq(builder):

@@ -221,12 +221,12 @@ def derive_skein(c1: BiPoly, c2: BiPoly) -> SkeinCoeffs:
     leading coefficients.
 
     b2 must come out as a plain polynomial (the stepwise relation closes
-    only then); otherwise NonPolynomialB2 is raised.  b1 may keep formal
-    radical factors.
+    only then); otherwise NonPolynomialB2 is raised.  b1 may keep one
+    formal root.
     """
     minus_c2 = -c2
     root = minus_c2.sqrt()
-    if root.radicands:
+    if root.radicand is not None:
         raise NonPolynomialB2(f"-c2, {minus_c2._brief()}, is not a perfect square")
     b2 = root.prefactor
     b1 = (c1 - 2 * b2).sqrt()
@@ -279,9 +279,9 @@ def verify_skein(sequence, b1, b2) -> SkeinReport:
 
     ``b1`` may be a polynomial (LaurentPoly or BiPoly, matching the
     sequence) or a RadicalExpr; ``b2`` a polynomial or int.  A radical b1
-    is c·sqrt(D) with D either absent, when b1 is a polynomial, or not a
-    square (``RadicalExpr`` keeps at most one radicand, split by
-    ``BiPoly.sqrt``).  The sequence's ring is integrally closed, so a D
+    is c·sqrt(D): its ``prefactor`` c and its ``radicand`` D, which is
+    None when b1 is a polynomial and otherwise no square (``BiPoly.sqrt``
+    split it).  The sequence's ring is integrally closed, so a D
     that is no square there is none in its fraction field either, and 1
     and sqrt(D) are independent over that field.  The residue
     (P_{n+1} - b2 P_{n-1}) - c P_n sqrt(D) therefore vanishes exactly
@@ -291,9 +291,7 @@ def verify_skein(sequence, b1, b2) -> SkeinReport:
     sequence = list(sequence)
     if len(sequence) < 3:
         raise ValueError("need at least three sequence entries")
-    radicand = None
-    if isinstance(b1, RadicalExpr):
-        b1, radicand = b1.prefactor, (b1.radicands[0] if b1.radicands else None)
+    b1, radicand = (b1.prefactor, b1.radicand) if isinstance(b1, RadicalExpr) else (b1, None)
     checks = []
     for i in range(2, len(sequence)):
         if radicand is None:

@@ -228,8 +228,11 @@ def _remap(source, monos, unit):
 
 
 def _point(value) -> complex:
-    """``complex(value)`` for an evaluation point.  On every path NaN raises
-    ValueError and an infinite coordinate OverflowError, as ``Fraction`` does."""
+    """``complex(value)`` for an evaluation point.  On every path a str,
+    bytes or bool raises TypeError, NaN ValueError and an infinite
+    coordinate OverflowError, as ``Fraction`` does."""
+    if isinstance(value, (str, bytes, bytearray, bool)):
+        raise TypeError(f"cannot evaluate at {value!r}: not a number")
     z = complex(value)
     if cmath.isnan(z):
         raise ValueError(f"cannot evaluate at {value!r}: not a number")

@@ -105,6 +105,14 @@ def test_criteria_2_to_6_registry(suite, max_n, expected_total):
     assert identities.run(suite, max_n) == (expected_total, expected_total, [])
 
 
+def test_numeric_entries_hold_at_the_largest_supported_n(monkeypatch):
+    # every float sample, checked at n = NUMERIC_MAX_N alone
+    n = identities.NUMERIC_MAX_N
+    numeric = tuple(i._replace(start=n) for i in identities.IDENTITIES if i.mode == "numeric")
+    monkeypatch.setattr(identities, "IDENTITIES", numeric)
+    assert identities.run("trig", n) == (24, 24, [])
+
+
 # The identity-lattice suite, split by the criterion each entry belongs
 # to: together the three criterion tests below run the whole suite at 200.
 LATTICE_CRITERIA = {
@@ -192,7 +200,7 @@ def test_criterion_4_homfly_bridge_and_skein_pairs():
     pairs = [
         # (c1, c2, expected b1, expected b2)
         (t2 + t2_inv, BiPoly.constant(-1, ("t", "u")), RadicalExpr(half_diff), BiPoly.one(("t", "u"))),
-        (r * x, -(r**2), RadicalExpr(r.sqrt().prefactor, [x - 2]), r),
+        (r * x, -(r**2), RadicalExpr(r.sqrt().prefactor, x - 2), r),
         (a**2 * z**2 + 2 * a**2, -(a**4), RadicalExpr(a * z), a**2),
     ]
     for c1, c2, b1_expected, b2_expected in pairs:

@@ -299,7 +299,7 @@ def test_eval_complex_exact_on_cancellation():
     pytest.param(lambda: LaurentPoly({4: 1}).eval_complex(complex(1, math.nan)),
                  id="laurent-complex-point"),
     pytest.param(lambda: BiPoly({(2, 0): 1}).eval_complex((math.nan, 1)), id="bivar"),
-    pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), [BiPoly({(0, 2): 1, (0, 0): -2})])
+    pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), BiPoly({(0, 2): 1, (0, 0): -2}))
                  .eval_complex((1, math.nan)), id="radical"),
 ])
 def test_eval_complex_refuses_nan(evaluate):
@@ -316,11 +316,32 @@ def test_eval_complex_refuses_nan(evaluate):
                  id="laurent-complex-point"),
     pytest.param(lambda: BiPoly.one().eval_complex((math.inf, 1)), id="bivar-first"),
     pytest.param(lambda: BiPoly({(0, -2): 1}).eval_complex((1, math.inf)), id="bivar-second"),
-    pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), [BiPoly({(0, 2): 1, (0, 0): -2})])
+    pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), BiPoly({(0, 2): 1, (0, 0): -2}))
                  .eval_complex((1, math.inf)), id="radical"),
 ])
 def test_eval_complex_refuses_an_infinite_coordinate(evaluate):
     with pytest.raises(OverflowError, match="not finite"):
+        evaluate()
+
+
+# a str, bytes or bool is no point, on every path: not a number that
+# ``complex`` parses, nor a pair of coordinates spelt by its characters
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda: LaurentPoly({2: 1}).eval_complex("3"), id="laurent-exact-real"),
+    pytest.param(lambda: LaurentPoly({2: 1}).eval_complex(True), id="laurent-exact-real-bool"),
+    pytest.param(lambda: LaurentPoly({1: 1}).eval_complex("4"), id="laurent-half-exponent"),
+    pytest.param(lambda: LaurentPoly({4: 1}).eval_complex("1+1j"), id="laurent-complex-point"),
+    pytest.param(lambda: (BiPoly({(2, 0): 1}) + 10 * BiPoly({(0, 2): 1})).eval_complex("12"),
+                 id="bivar-string"),
+    pytest.param(lambda: (BiPoly({(2, 0): 1}) + 10 * BiPoly({(0, 2): 1})).eval_complex(b"12"),
+                 id="bivar-bytes"),
+    pytest.param(lambda: BiPoly({(2, 0): 1}).eval_complex((True, 1)), id="bivar-first"),
+    pytest.param(lambda: BiPoly({(0, 2): 1}).eval_complex((1, "2")), id="bivar-second"),
+    pytest.param(lambda: BiPoly({(2, 2): 1, (2, 0): -2}).sqrt().eval_complex((1, "3")),
+                 id="radical"),
+])
+def test_eval_complex_refuses_a_non_number(evaluate):
+    with pytest.raises(TypeError):
         evaluate()
 
 

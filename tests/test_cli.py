@@ -114,6 +114,28 @@ class TestVerify:
         with pytest.raises(ValueError, match="unknown suite 'no-such-suite'"):
             identities.run("no-such-suite", 3)
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("max_n", [identities.NUMERIC_MAX_N + 1, 5000])
+    def test_trig_refuses_n_past_the_float_range(self, capsys, monkeypatch, fmt, max_n):
+        # refused before the sweep: no side of the suite is ever called
+        def never(seq, n):
+            raise AssertionError("the sweep ran")
+
+        trig = tuple(i._replace(lhs=never, rhs=never)
+                     for i in identities.IDENTITIES if i.suite == "trig")
+        monkeypatch.setattr(identities, "IDENTITIES", trig)
+        assert run_cli(capsys, "verify", "trig", "--max-n", str(max_n), "--format", fmt) == (
+            2, "", "knotpoly verify: error: suite 'trig' samples floats,"
+            " which support n up to 1023\n")
+        with pytest.raises(ValueError, match="support n up to 1023"):
+            identities.run("trig", max_n)
+
+    def test_only_numeric_suites_have_the_float_limit(self):
+        identities.check("trig", identities.NUMERIC_MAX_N)
+        for suite in identities.SUITES:
+            if suite != "trig":
+                identities.check(suite, 5000)
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "qnum-oracle", "--max-n", "7", "--format", "json"

@@ -40,7 +40,7 @@ class TestDerive:
         coeffs = derive_skein(*RX)
         assert coeffs.b2 == r
         assert coeffs.b1.prefactor.terms == {(1, 0): 1}  # sqrt(r)
-        assert [rad.terms for rad in coeffs.b1.radicands] == [{(0, 2): 1, (0, 0): -2}]
+        assert coeffs.b1.radicand.terms == {(0, 2): 1, (0, 0): -2}
 
     def test_homfly_pair(self):
         coeffs = derive_skein(*AZ)
@@ -183,11 +183,11 @@ class TestVerify:
         report = verify_skein(seq, b1, r)
         assert report.all_ok
 
-    def test_radical_b1_with_square_radicand_product(self):
-        # sqrt(x + 1) * sqrt(x + 1) = x + 1, so b1 is the polynomial x + 1
-        b1 = RadicalExpr(BiPoly.one(("r", "x")), [x + 1, x + 1])
+    def test_radical_b1_with_square_radicand(self):
+        # sqrt((x + 1)^2) = x + 1, so b1 is the polynomial x + 1
+        b1 = RadicalExpr(BiPoly.one(("r", "x")), (x + 1) * (x + 1))
         assert b1 == RadicalExpr(x + 1)
-        assert not b1.radicands
+        assert b1.is_polynomial
         report = verify_skein([BiPoly.one(("r", "x")), x, x**2 + x + 1], b1, 1)
         assert report.all_ok
 

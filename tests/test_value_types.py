@@ -71,7 +71,8 @@ def test_univariate_never_equals_bivariate():
         pytest.param(lambda: LaurentPoly.monomial(2.9, 1), id="laurent-monomial-float-coeff"),
         pytest.param(lambda: BiPoly.constant(2.5), id="bivar-constant-float"),
         pytest.param(lambda: RadicalExpr(2.5), id="radical-float-prefactor"),
-        pytest.param(lambda: RadicalExpr(BiPoly.one(), [2.5]), id="radical-float-radicand"),
+        pytest.param(lambda: RadicalExpr(BiPoly.one(), 2.5), id="radical-float-radicand"),
+        pytest.param(lambda: RadicalExpr(BiPoly.one(), [BiPoly.one()]), id="radical-list-radicand"),
     ],
 )
 def test_rejects_non_int_inputs(build):
@@ -100,8 +101,8 @@ def test_radical_free_value_equals_and_hashes_as_its_prefactor():
     assert one == 1 and hash(one) == hash(1) and len({one, BiPoly.one(), 1}) == 1
     assert one != "1" and one != LaurentPoly.one()
     r, x = BiPoly.gens(("r", "x"))
-    assert RadicalExpr(r, [x - 2]) != r
-    assert len({RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 2]), RadicalExpr(r, [x - 3])}) == 2
+    assert RadicalExpr(r, x - 2) != r
+    assert len({RadicalExpr(r, x - 2), RadicalExpr(r, x - 2), RadicalExpr(r, x - 3)}) == 2
 
 
 @pytest.mark.parametrize("cls, term", [
