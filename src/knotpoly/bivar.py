@@ -13,8 +13,8 @@ import json
 import math
 
 from ._kernels import add_terms, bi_mul_terms, bi_sqrt_terms, neg_terms, scale_terms, sub_terms
-from .errors import NonIntegralOuter, UnresolvedRadical, ZeroBase
-from .laurent import _check_names, _point, _pow_str, _substitute, _TermPoly, _to_numerator
+from .errors import NonIntegralOuter, UnresolvedRadical
+from .laurent import _check_names, _evaluate, _pow_str, _substitute, _TermPoly, _to_numerator
 
 __all__ = ["BiPoly", "RadicalExpr"]
 
@@ -39,10 +39,9 @@ class BiPoly(_TermPoly):
 
     @staticmethod
     def _check_key(key):
-        na, nb = key
-        if type(na) is not int or type(nb) is not int:
-            raise TypeError(f"exponent numerators {key!r} are not ints")
-        return (na, nb)
+        if isinstance(key, (tuple, list)) and len(key) == 2 and type(key[0]) is type(key[1]) is int:
+            return tuple(key)
+        raise TypeError(f"exponent key {key!r} is not a pair of int numerators")
 
     # -- constructors ------------------------------------------------
 
@@ -123,17 +122,13 @@ class BiPoly(_TermPoly):
         whole = bi_sqrt_terms(self.terms)
         if whole is not None:
             return RadicalExpr._raw(self._like(whole))
-        content = 0
-        for c in self.terms.values():
-            content = math.gcd(content, c)
+        content = math.gcd(*self.terms.values())
         root_c = math.isqrt(content)
         if root_c * root_c != content:
             root_c = 1
         square = root_c * root_c
-        min_a = min(na for na, _ in self.terms)
-        min_b = min(nb for _, nb in self.terms)
-        even_a = min_a - (min_a % 2)
-        even_b = min_b - (min_b % 2)
+        # each variable's lowest numerator, rounded down to an even one
+        even_a, even_b = (low - low % 2 for low in map(min, zip(*self.terms)))
         pre = self._like({(even_a // 2, even_b // 2): root_c})
         residual = self._like(
             {(na - even_a, nb - even_b): c // square for (na, nb), c in self.terms.items()}
@@ -141,25 +136,11 @@ class BiPoly(_TermPoly):
         return RadicalExpr._raw(pre, residual)
 
     def eval_complex(self, point) -> complex:
-        """Numeric evaluation at ``(value_a, value_b)``; half exponents use
-        principal square roots."""
-        if isinstance(point, (bytes, bytearray)):
-            raise TypeError(f"cannot evaluate at {point!r}: not a pair of numbers")
-        za, zb = map(_point, point)
-        if za == 0 and any(na < 0 for na, _ in self.terms):
-            raise ZeroBase("negative exponents cannot be evaluated at zero")
-        if zb == 0 and any(nb < 0 for _, nb in self.terms):
-            raise ZeroBase("negative exponents cannot be evaluated at zero")
-        half_a = any(na % 2 for na, _ in self.terms)
-        half_b = any(nb % 2 for _, nb in self.terms)
-        wa = cmath.sqrt(za) if half_a else za
-        wb = cmath.sqrt(zb) if half_b else zb
-        total = 0j
-        for (na, nb), coeff in self.terms.items():
-            fa = wa ** (na if half_a else na // 2)
-            fb = wb ** (nb if half_b else nb // 2)
-            total += coeff * fa * fb
-        return total
+        """The value at ``point``, a tuple or list of two numbers: exact at
+        real ones with integer exponents, else a complex-float sum."""
+        if not (isinstance(point, (tuple, list)) and len(point) == 2):
+            raise TypeError(f"cannot evaluate at {point!r}: not a tuple or list of two numbers")
+        return _evaluate(self.terms, zip(*self.terms), point)
 
     # -- rendering ---------------------------------------------------
 

@@ -18,7 +18,8 @@ import json
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from operator import or_
 
 from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sqrt_terms, sub_terms
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
@@ -128,8 +129,11 @@ def _substitute(source, images):
     and a block whose top degree is below ``_HORNER_BELOW`` runs Horner
     over its degrees, jumping each gap with a power of g.  The O(log n)
     levels of balanced products that replace Horner's n products by g
-    are what the packed multiplication kernel serves.
+    are what the packed multiplication kernel serves.  A bool image raises
+    TypeError, as a bool operand of the ring operators does.
     """
+    if any(isinstance(img, bool) for img in images):
+        raise TypeError("cannot substitute a bool: it is not a ring value")
     zero = images[0] * 0
     for img in images[1:]:
         zero = zero + img * 0  # the images' common ring; TypeError if none
@@ -227,48 +231,80 @@ def _remap(source, monos, unit):
     return out
 
 
-def _point(value) -> complex:
-    """``complex(value)`` for an evaluation point.  On every path a str,
-    bytes or bool raises TypeError, NaN ValueError and an infinite
-    coordinate OverflowError, as ``Fraction`` does."""
-    if isinstance(value, (str, bytes, bytearray, bool)):
-        raise TypeError(f"cannot evaluate at {value!r}: not a number")
-    z = complex(value)
-    if cmath.isnan(z):
-        raise ValueError(f"cannot evaluate at {value!r}: not a number")
-    if cmath.isinf(z):
-        raise OverflowError(f"cannot evaluate at {value!r}: not finite")
-    return z
-
-
-def _exact_real_sum(terms, x: float) -> float:
-    """The sum of ``c x^(num/2)`` over integer-exponent ``terms`` at a
-    nonzero float x, computed exactly and rounded once.
-
-    x is exactly m / 2^e, so integer Horner gives
-    acc = sum(c_k m^(k - lo) 2^(e (hi - k))); the sum is acc m^lo / 2^(e hi),
-    and the int division rounds it correctly.
-    """
-    m, d = x.as_integer_ratio()  # x is finite: ``_point`` refused inf and nan
+def _evaluate(terms, columns, points) -> complex:
+    """The value of ``terms`` at ``points``, one coordinate per variable,
+    ``columns`` holding each variable's exponent numerators.  A str, bytes
+    or bool coordinate raises TypeError, NaN ValueError, an infinite one
+    OverflowError (as ``Fraction`` does) and a zero one ZeroBase if its
+    variable has a negative exponent.  At real coordinates with integer
+    exponents the sum is exact, rounded once: each coordinate is m/2^e, so
+    a Horner on ints per variable, nested for two, and one int division
+    give it.  Elsewhere each term is summed in complex floats, a half
+    exponent taking the principal square root of its coordinate."""
+    zs = []
+    for value in points:
+        if isinstance(value, (str, bytes, bytearray, bool)):
+            raise TypeError(f"cannot evaluate at {value!r}: not a number")
+        z = complex(value)
+        if not cmath.isfinite(z):
+            if cmath.isnan(z):
+                raise ValueError(f"cannot evaluate at {value!r}: not a number")
+            raise OverflowError(f"cannot evaluate at {value!r}: not finite")
+        zs.append(z)
     if not terms:
-        return 0.0
-    e = d.bit_length() - 1
-    nums = sorted(terms, reverse=True)
-    hi, lo = nums[0] // 2, nums[-1] // 2
-    acc = 0
-    prev = hi
-    for num in nums:
-        k = num // 2
-        acc = acc * m ** (prev - k) + (terms[num] << e * (hi - k))
-        prev = k
-    top, bottom = (acc * m**lo, 1) if lo >= 0 else (acc, m**-lo)
-    if hi >= 0:
-        bottom <<= e * hi
+        return 0j
+    bases, dyadic = [], []  # per variable: (base, numerator step), and (m, e) if exact
+    for z, nums in zip(zs, columns):
+        if z == 0 and min(nums) < 0:
+            raise ZeroBase("negative exponents cannot be evaluated at zero")
+        half = reduce(or_, nums) & 1
+        bases.append((cmath.sqrt(z), 1) if half else (z, 2))
+        if not (half or z.imag):
+            m, d = z.real.as_integer_ratio()
+            dyadic.append((m, d.bit_length() - 1))
+    if len(dyadic) < len(zs):
+        total = 0j
+        if len(bases) == 1:
+            ((base, step),) = bases
+            for num, coeff in terms.items():
+                total += coeff * base ** (num // step)
+            return total
+        (wa, sa), (wb, sb) = bases
+        for (na, nb), coeff in terms.items():
+            total += coeff * wa ** (na // sa) * wb ** (nb // sb)
+        return total
+    if len(dyadic) == 1:
+        top, lo, hi = _dyadic_horner(terms, *dyadic[0])
+        scales = [(*dyadic[0], lo, hi)]
     else:
-        top <<= -e * hi
-    if bottom < 0:  # a negative divisor would turn a zero sum into -0.0
-        top, bottom = -top, -bottom
-    return top / bottom
+        (ma, ea), (mb, eb) = dyadic
+        rows = {}
+        for (na, nb), c in terms.items():
+            rows.setdefault(na, {})[nb] = c
+        sums = {na: _dyadic_horner(row, mb, eb) for na, row in rows.items()}
+        lob, hib = min(s[1] for s in sums.values()), max(s[2] for s in sums.values())
+        # each row's sum brought to the second variable's whole range lob..hib
+        top, loa, hia = _dyadic_horner({na: acc * mb ** (lo - lob) << eb * (hib - hi)
+                                        for na, (acc, lo, hi) in sums.items()}, ma, ea)
+        scales = [(ma, ea, loa, hia), (mb, eb, lob, hib)]
+    bottom = 1  # the sum is top / bottom: top carries m^lo or 2^-(e·hi) when that is an int
+    for m, e, lo, hi in scales:
+        top, bottom = (top * m**lo, bottom) if lo >= 0 else (top, bottom * m**-lo)
+        top, bottom = (top, bottom << e * hi) if hi >= 0 else (top << -e * hi, bottom)
+    return complex(top / bottom) if top else 0j  # 0 / a negative divisor would be -0.0
+
+
+def _dyadic_horner(values, m, e):
+    """(acc, lo, hi) for the int dict ``values`` of items (2k, v), with k
+    from lo to hi: acc = sum(v·m^(k - lo)·2^(e·(hi - k))), by Horner."""
+    nums = sorted(values, reverse=True)
+    hi = prev = nums[0] >> 1
+    acc = 0
+    for num in nums:
+        k = num >> 1
+        acc = acc * m ** (prev - k) + (values[num] << e * (hi - k))
+        prev = k
+    return acc, prev, hi
 
 
 class _TermPoly:
@@ -584,26 +620,9 @@ class LaurentPoly(_TermPoly):
         return self._like(root)
 
     def eval_complex(self, value) -> complex:
-        """Numeric evaluation; half exponents use the principal square root
-        of the argument.  Raises ZeroBase at zero with negative exponents.
-
-        Real arguments with integer exponents are summed in exact rational
-        arithmetic before the final rounding; high-degree alternating
-        polynomials would otherwise lose everything to cancellation.
-        """
-        z = _point(value)
-        if z == 0:
-            if self.terms and min(self.terms) < 0:
-                raise ZeroBase("negative exponents cannot be evaluated at zero")
-            return complex(self.terms.get(0, 0))
-        integral = all(num % 2 == 0 for num in self.terms)
-        if integral and z.imag == 0:
-            return complex(_exact_real_sum(self.terms, z.real))
-        base, step = (z, 2) if integral else (cmath.sqrt(z), 1)
-        total = 0j
-        for num, coeff in self.terms.items():
-            total += coeff * base ** (num // step)
-        return total
+        """The value at a number: exact at a real one with integer exponents,
+        else a complex-float sum (see ``_evaluate``)."""
+        return _evaluate(self.terms, (self.terms,), (value,))
 
     # -- rendering ---------------------------------------------------
 

@@ -3,6 +3,7 @@ references the fast paths are checked against, and an independent closed
 form of the Chebyshev family."""
 
 import math
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -117,6 +118,17 @@ def naive_substitute(poly, image_a, image_b):
             inner = inner * image_b + row.get(j, 0)
         result = result * image_a + inner
     return result
+
+
+def fraction_sum(poly, point):
+    """The value of an integer-exponent ``poly`` at a real ``point``, a
+    number for a LaurentPoly and a pair for a BiPoly: each term in
+    Fraction, the sum rounded once."""
+    if isinstance(poly, LaurentPoly):
+        x = Fraction(complex(point).real)
+        return complex(sum(c * x ** (num // 2) for num, c in poly.terms.items()))
+    x, y = (Fraction(complex(v).real) for v in point)
+    return complex(sum(c * x ** (na // 2) * y ** (nb // 2) for (na, nb), c in poly.terms.items()))
 
 
 def cheb_second_closed(n):

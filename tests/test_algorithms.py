@@ -7,7 +7,6 @@ against their term counts."""
 import gc
 import math
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +30,7 @@ from support import (
     bi_polys_integral,
     cheb_second_closed,
     coefficients,
+    fraction_sum,
     laurent_polys_integral,
     naive_compose,
     naive_substitute,
@@ -253,15 +253,20 @@ def _outcome(fn):
         return type(exc)
 
 
-def _fraction_sum(poly, x):
-    """The previous exact path: each term in Fraction, one final rounding."""
-    base = Fraction(complex(x).real)
-    return complex(sum(c * base ** (num // 2) for num, c in poly.terms.items()))
-
-
 def _integral(max_degree, max_terms=12):
     nums = st.integers(min_value=-max_degree, max_value=max_degree).map(lambda k: 2 * k)
     return st.lists(st.tuples(nums, coefficients), max_size=max_terms).map(LaurentPoly)
+
+
+def _bi_integral(max_degree, max_terms=12):
+    nums = st.integers(min_value=-max_degree, max_value=max_degree).map(lambda k: 2 * k)
+    return st.lists(st.tuples(st.tuples(nums, nums), coefficients), max_size=max_terms).map(BiPoly)
+
+
+def _cases(max_degree, coordinates):
+    """A LaurentPoly at a coordinate, or a BiPoly at a pair of them."""
+    return st.one_of(st.tuples(_integral(max_degree), coordinates),
+                     st.tuples(_bi_integral(max_degree), st.tuples(coordinates, coordinates)))
 
 
 _dyadic = st.builds(lambda a, j: a / 2**j, st.integers(-2**30, 2**30).filter(bool),
@@ -269,27 +274,38 @@ _dyadic = st.builds(lambda a, j: a / 2**j, st.integers(-2**30, 2**30).filter(boo
 
 
 @settings(max_examples=300, deadline=None)
-@given(poly=_integral(40), x=st.one_of(_dyadic, st.floats().filter(bool)))
-def test_eval_complex_is_the_rounded_exact_sum(poly, x):
-    assert _outcome(lambda: poly.eval_complex(x)) == _outcome(lambda: _fraction_sum(poly, x))
+@given(case=_cases(40, st.one_of(_dyadic, st.floats().filter(bool))))
+def test_eval_complex_is_the_rounded_exact_sum(case):
+    poly, point = case
+    assert _outcome(lambda: poly.eval_complex(point)) == _outcome(lambda: fraction_sum(poly, point))
 
 
 @settings(max_examples=25, deadline=None)
-@given(poly=_integral(400),
-       x=st.floats(min_value=-2.5, max_value=2.5).filter(bool))
-def test_eval_complex_exact_at_large_degree(poly, x):
-    assert _outcome(lambda: poly.eval_complex(x)) == _outcome(lambda: _fraction_sum(poly, x))
+@given(case=_cases(400, st.floats(min_value=-2.5, max_value=2.5).filter(bool)))
+def test_eval_complex_exact_at_large_degree(case):
+    poly, point = case
+    assert _outcome(lambda: poly.eval_complex(point)) == _outcome(lambda: fraction_sum(poly, point))
 
 
 def test_eval_complex_exact_on_cancellation():
     first = cheb_first_seq(300)[300]
     for theta in (0.3, 0.7, 1.1, 2.0):
         x = 2.0 * math.cos(theta)
-        assert repr(first.eval_complex(x)) == repr(_fraction_sum(first, x))
+        assert repr(first.eval_complex(x)) == repr(fraction_sum(first, x))
+    # V_n(2) = n + 1, so the r,x member r^n(V_n(x) - r V_(n-1)(x)) is 1 at
+    # (1, 2), where a float sum of its terms, of up to 74 bits, gives -60
+    assert repr(alexander_rx(60).eval_complex((1.0, 2.0))) == repr(1 + 0j)
     # exact zeros at negative points, with negative exponents: +0.0, never -0.0
     for poly, x in [(LaurentPoly({}), 0.1), (LaurentPoly({2: 1, -2: -1}), -1.0),
-                    (LaurentPoly({-2: 1, 0: 2}), -0.5), (LaurentPoly({-6: 1, 0: 8}), -0.5)]:
-        assert repr(poly.eval_complex(x)) == repr(_fraction_sum(poly, x)) == repr(0j)
+                    (LaurentPoly({-2: 1, 0: 2}), -0.5), (LaurentPoly({-6: 1, 0: 8}), -0.5),
+                    (BiPoly({}), (0.1, -0.3)), (BiPoly({(2, 0): 1, (0, -2): -1}), (-1.0, -1.0)),
+                    (BiPoly({(-2, 2): 1, (0, 0): 2}), (-0.5, 1.0)),
+                    (BiPoly({(-6, 0): 1, (0, -2): 8}), (-0.5, 1.0)),
+                    (BiPoly({(0, -2): 1, (-2, 0): 1}), (-1.0, 1.0))]:
+        assert repr(poly.eval_complex(x)) == repr(fraction_sum(poly, x)) == repr(0j)
+    # a nonzero sum too small for a float keeps its sign: -0.0
+    for poly, x in [(LaurentPoly({4: -1}), 1e-200), (BiPoly({(2, 4): 1}), (-1.0, 4.9e-287))]:
+        assert repr(poly.eval_complex(x)) == repr(fraction_sum(poly, x)) == repr(complex(-0.0))
 
 
 # the exact path refuses NaN, as ``as_integer_ratio`` does; every other path
@@ -339,10 +355,24 @@ def test_eval_complex_refuses_an_infinite_coordinate(evaluate):
     pytest.param(lambda: BiPoly({(0, 2): 1}).eval_complex((1, "2")), id="bivar-second"),
     pytest.param(lambda: BiPoly({(2, 2): 1, (2, 0): -2}).sqrt().eval_complex((1, "3")),
                  id="radical"),
+    # a point of two coordinates is a tuple or a list: a set has no order, a
+    # dict's keys are not a point, and a third coordinate is not ignored
+    pytest.param(lambda: (BiPoly({(2, 0): 1}) + 10 * BiPoly({(0, 2): 1})).eval_complex({1.0, 2.0}),
+                 id="bivar-set"),
+    pytest.param(lambda: BiPoly({(2, 0): 1}).eval_complex({1.0: 2.0, 3.0: 4.0}), id="bivar-dict"),
+    pytest.param(lambda: BiPoly({(2, 0): 1}).eval_complex((1, 2, 3)), id="bivar-three"),
+    pytest.param(lambda: BiPoly({(2, 0): 1}).eval_complex((1,)), id="bivar-one"),
+    pytest.param(lambda: BiPoly({(2, 2): 1, (2, 0): -2}).sqrt().eval_complex({1.0, 3.0}),
+                 id="radical-set"),
 ])
 def test_eval_complex_refuses_a_non_number(evaluate):
     with pytest.raises(TypeError):
         evaluate()
+
+
+def test_eval_complex_takes_a_tuple_or_a_list():
+    poly = BiPoly({(2, 0): 1, (0, 2): 10, (1, 0): 1})
+    assert poly.eval_complex([4.0, 2.0]) == poly.eval_complex((4.0, 2.0)) == 26
 
 
 # -- the rx sequence is built once per run ---------------------------------

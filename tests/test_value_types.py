@@ -4,6 +4,7 @@ construction and the ring operators' operand rule."""
 import functools
 import json
 import operator
+import re
 import types
 
 import pytest
@@ -187,6 +188,23 @@ def test_bool_operand_is_refused(op, poly):
 def test_bool_addend_is_refused(op, poly):
     with pytest.raises(TypeError):
         op(poly)
+
+
+# an image of a substitution follows the operand rule: True is no ring value
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda: LaurentPoly.gen().compose(True), id="compose"),
+    pytest.param(lambda: BiPoly.gens()[0].substitute(True, 1), id="substitute-first"),
+    pytest.param(lambda: BiPoly.gens()[1].substitute(LaurentPoly.gen(), False), id="substitute-second"),
+])
+def test_bool_image_is_refused(op):
+    with pytest.raises(TypeError, match="bool"):
+        op()
+
+
+@pytest.mark.parametrize("key", [2, (2, 0, 0), (2,), "20", (2, 0.0), None])
+def test_bivar_key_is_a_pair_of_ints(key):
+    with pytest.raises(TypeError, match=f"key {re.escape(repr(key))} is not a pair of int"):
+        BiPoly({key: 1})
 
 
 # a value of each type in names other than the defaults
