@@ -9,12 +9,12 @@ operand has fewer than ``_CROSSOVER`` terms, row by row: the shorter
 operand's first term times every term of the longer one is one dict
 comprehension, each further term adds its row into that dict, and only a
 product in which some sum cancelled takes a pass to drop its zeros.  For
-the one- and two-term factors of recurrence steps and Horner images that
-loop is the fastest there is.  From ``_CROSSOVER`` terms on they hand the
-product to one Kronecker substitution, ``_packed_mul``: each operand
-becomes one Python int, with one fixed-width byte slot per exponent step,
-and a single big-int multiply (Karatsuba in CPython) forms every
-coefficient at once.
+the one- and two-term factors of recurrence steps and the low squares of
+a substitution's image that loop is the fastest there is.  From
+``_CROSSOVER`` terms on they hand the product to one Kronecker
+substitution, ``_packed_mul``: each operand becomes one Python int, with
+one fixed-width byte slot per exponent step, and a single big-int
+multiply (Karatsuba in CPython) forms every coefficient at once.
 A bivariate key (x, y) folds to x·W + y first (``_fold``), with W wider
 than any y of the product, so one packed kernel serves both arities.
 

@@ -26,12 +26,6 @@ from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
 
 __all__ = ["LaurentPoly"]
 
-# Top degree below which a block of a substitution runs Horner rather than
-# splitting again.  Measured on the compositions of alexander-chebyshev and
-# homfly-bridge: below it, the squarings a split adds cost more than the
-# Horner products by the image that it saves.
-_HORNER_BELOW = 24
-
 
 def _to_numerator(exponent) -> int:
     """Exponent (int, or Fraction with denominator 1 or 2) -> numerator in half-steps."""
@@ -124,13 +118,13 @@ def _substitute(source, images):
     monomial the substitution is one pass over the terms.  Any other image
     g splits the degrees present, p(g) = p_lo(g) + g^m·p_hi(g) with m the
     largest power of two up to the top degree, so both halves stay below
-    degree m (Brent and Kung, J. ACM 25, 1978).  The squares g^m are built
-    only as a split needs them, a lone term at degree d takes g^d whole,
-    and a block whose top degree is below ``_HORNER_BELOW`` runs Horner
-    over its degrees, jumping each gap with a power of g.  The O(log n)
-    levels of balanced products that replace Horner's n products by g
-    are what the packed multiplication kernel serves.  A bool image raises
-    TypeError, as a bool operand of the ring operators does.
+    degree m (Brent and Kung, J. ACM 25, 1978), and splits each half again
+    down to degree 0.  The squares g^(2^i) are built once, up front, by
+    repeated squaring, so a lone term at degree d costs the products of
+    ``g ** d``.  The O(log n) levels of balanced products that replace
+    Horner's n products by g are what the packed multiplication kernel
+    serves.  A bool image raises TypeError, as a bool operand of the ring
+    operators does.
     """
     if any(isinstance(img, bool) for img in images):
         raise TypeError("cannot substitute a bool: it is not a ring value")
@@ -152,7 +146,6 @@ def _substitute_rows(source, images, monos, zero):
     if None not in monos:
         return zero._like(_remap(source, monos, zero._UNIT))
     g = monos.index(None)
-    image = images[g]
     rest, rest_monos = images[:g] + images[g + 1:], monos[:g] + monos[g + 1:]
     rows = {}
     for degrees, coeff in source.items():
@@ -161,56 +154,27 @@ def _substitute_rows(source, images, monos, zero):
         return zero
     items = [(d, _substitute_rows(row, rest, rest_monos, zero) if rest else row[()])
              for d, row in sorted(rows.items())]
-    result = _split(items, _Powers(image))
+    squares = [images[g]]
+    for _ in range(items[-1][0].bit_length() - 1):
+        squares.append(squares[-1] * squares[-1])
+    result = _split(items, squares)
     if type(result) is type(zero) and isinstance(zero, _TermPoly):
         return zero._like(result.terms)  # in the ring's names, with no pass
     return zero + result
 
 
-class _Powers:
-    """The powers of one image g, cached by degree: ``power(d)`` by ``**``,
-    and ``square(m)``, for m a power of two, by squaring g^(m/2)."""
-
-    def __init__(self, image):
-        self.cache = {1: image}
-
-    def power(self, d):
-        if d not in self.cache:
-            self.cache[d] = self.cache[1] ** d
-        return self.cache[d]
-
-    def square(self, m):
-        if m not in self.cache:
-            half = self.square(m // 2)
-            self.cache[m] = half * half
-        return self.cache[m]
-
-
-def _horner(items, powers):
+def _split(items, squares):
     """sum(v * g^d) over the pairs (d, v) of ``items``, in ascending order of
-    d, by Horner from the top down, jumping each gap with a cached power."""
-    d, result = items[-1]
-    for below, value in reversed(items[:-1]):
-        result = result * powers.power(d - below) + value
-        d = below
-    return result * powers.power(d) if d else result
-
-
-def _split(items, powers):
-    """``_horner``'s sum as p_lo + g^m·p_hi, with m the largest power of two
-    up to the top degree, so both halves have degree below m."""
+    d, by ``_substitute``'s split down to degree 0, with ``squares[i]`` =
+    g^(2^i)."""
     top = items[-1][0]
-    if top < _HORNER_BELOW:
-        return _horner(items, powers)
-    m = 1 << (top.bit_length() - 1)
+    if not top:
+        return items[0][1]
+    i = top.bit_length() - 1
+    m = 1 << i
     cut = bisect_left(items, (m,))
-    low, high = items[:cut], [(d - m, v) for d, v in items[cut:]]
-    if len(high) == 1:
-        d, value = items[-1]
-        high_part = value * powers.power(d)
-    else:
-        high_part = powers.square(m) * _split(high, powers)
-    return high_part + _split(low, powers) if low else high_part
+    high = _split([(d - m, v) for d, v in items[cut:]], squares) * squares[i]
+    return high + _split(items[:cut], squares) if cut else high
 
 
 def _remap(source, monos, unit):
@@ -240,7 +204,9 @@ def _evaluate(terms, columns, points) -> complex:
     exponents the sum is exact, rounded once: each coordinate is m/2^e, so
     a Horner on ints per variable, nested for two, and one int division
     give it.  Elsewhere each term is summed in complex floats, a half
-    exponent taking the principal square root of its coordinate."""
+    exponent taking the principal square root of its coordinate and a real
+    coordinate with integer exponents staying a float, so that its powers
+    are float pow, not complex pow's exp/log from exponent 100."""
     zs = []
     for value in points:
         if isinstance(value, (str, bytes, bytearray, bool)):
@@ -258,7 +224,7 @@ def _evaluate(terms, columns, points) -> complex:
         if z == 0 and min(nums) < 0:
             raise ZeroBase("negative exponents cannot be evaluated at zero")
         half = reduce(or_, nums) & 1
-        bases.append((cmath.sqrt(z), 1) if half else (z, 2))
+        bases.append((cmath.sqrt(z), 1) if half else (z if z.imag else z.real, 2))
         if not (half or z.imag):
             m, d = z.real.as_integer_ratio()
             dyadic.append((m, d.bit_length() - 1))
@@ -533,8 +499,8 @@ class LaurentPoly(_TermPoly):
     def monomial(cls, coeff: int, exponent, variable: str = _DEFAULT_NAMES) -> "LaurentPoly":
         if type(coeff) is not int:
             raise TypeError(f"coefficient {coeff!r} is not an int")
-        terms = {_to_numerator(exponent): coeff} if coeff else {}
-        return cls._make(_check_names(variable, 1), terms)
+        num = _to_numerator(exponent)
+        return cls._make(_check_names(variable, 1), {num: coeff} if coeff else {})
 
     # -- ring structure ----------------------------------------------
     # Each class defines its own operators (``perfbench/spans.py`` wraps

@@ -23,6 +23,7 @@ from knotpoly import (
     homfly_rec,
     identities,
     invariants,
+    laurent,
 )
 from knotpoly._kernels import pure
 
@@ -148,9 +149,9 @@ def test_zero_polynomial_substitutes_to_a_typed_zero(images):
 
 # -- split composition at depth -----------------------------------------------
 
-# Sources of degree 64 to 80, so the split recurses three levels above its
-# Horner blocks and its upper blocks reach the packed kernel; images of 2
-# terms and of at least the packed kernel's crossover in terms.
+# Sources of degree 64 to 80, so the split recurses seven levels down to
+# degree 0 and its upper blocks reach the packed kernel; images of 2 terms
+# and of at least the packed kernel's crossover in terms.
 _CROSSOVER = pure._CROSSOVER
 _deep_coeffs = st.integers(min_value=-9, max_value=9)
 
@@ -220,11 +221,30 @@ def test_substitute_at_depth_matches_dense_horner(images, data, source, column):
 
 
 def test_compose_six_levels_deep_matches_dense_horner():
-    # degree 800: splits at 512, 256, 128, 64, 32 and 16 above Horner blocks
+    # degree 800: splits at 512, 256, 128, 64, 32 and 16, then at 8, 4, 2
+    # and 1 down to degree 0
     coeffs = [(-1) ** (k // 3) * (k % 7 + 1) for k in range(801)]
     poly = LaurentPoly({2 * k: c for k, c in enumerate(coeffs)})
     inner = LaurentPoly({1: 1, -2: 2}, "u")
     _same(poly.compose(inner), naive_compose(poly, inner))
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param({2000: 1}, id="x^1000"),
+    pytest.param({2000: 1, 0: 1}, id="x^1000+1"),
+])
+def test_sparse_compose_costs_no_more_products_than_a_power(monkeypatch, source):
+    # a lone term at degree d is multiplied by one of the squares of g per
+    # set bit of d, as square-and-multiply forms g ** d
+    calls = []
+    kernel = laurent.mul_terms
+    monkeypatch.setattr(laurent, "mul_terms", lambda a, b: calls.append(1) or kernel(a, b))
+    inner = LaurentPoly({2: 1, -2: 1})
+    power = inner ** 1000
+    power_calls = len(calls)
+    composed = LaurentPoly(source).compose(inner)
+    assert composed == power + source.get(0, 0)
+    assert len(calls) - power_calls <= power_calls
 
 
 def test_substitution_leaves_no_reference_cycles():
@@ -306,6 +326,9 @@ def test_eval_complex_exact_on_cancellation():
     # a nonzero sum too small for a float keeps its sign: -0.0
     for poly, x in [(LaurentPoly({4: -1}), 1e-200), (BiPoly({(2, 4): 1}), (-1.0, 4.9e-287))]:
         assert repr(poly.eval_complex(x)) == repr(fraction_sum(poly, x)) == repr(complex(-0.0))
+    # a real coordinate with integer exponents beside a half exponent is
+    # raised by float pow: complex pow goes through exp/log from exponent 100
+    assert repr(BiPoly({(1, 300): 1}).eval_complex((4.0, -1.0))) == repr(2 + 0j)
 
 
 # the exact path refuses NaN, as ``as_integer_ratio`` does; every other path

@@ -150,10 +150,10 @@ def test_bi_mul_terms_matches_the_pair_loop(pair):
 
 # -- the row-first pair loop against the naive product ------------------------
 
-# Most products in the recurrences and Horner steps have a shorter side of
-# 2-8 terms, which ``_short_sizes`` skips: each of its terms is one row of
-# the pair loop, added into the first row, and a cancelled sum must not
-# leave its key behind.
+# Most products in the recurrences and substitution splits have a shorter
+# side of 2-8 terms, which ``_short_sizes`` skips: each of its terms is one
+# row of the pair loop, added into the first row, and a cancelled sum must
+# not leave its key behind.
 @pytest.mark.parametrize("kernel, naive, pairs", [
     pytest.param(pure.mul_terms, naive_mul_terms, _uni_pairs, id="univariate"),
     pytest.param(pure.bi_mul_terms, naive_bi_mul_terms, _bi_pairs, id="bivariate"),

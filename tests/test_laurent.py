@@ -37,6 +37,8 @@ class TestConstruction:
     def test_rejects_off_lattice_exponents(self):
         with pytest.raises(ValueError):
             LaurentPoly.from_terms([(Fraction(1, 3), 1)])
+        with pytest.raises(ValueError):
+            LaurentPoly.monomial(0, 0.3)
 
     def test_no_zero_coefficients_stored(self):
         poly = LaurentPoly([(2, 5), (2, -5), (0, 3)])

@@ -70,6 +70,7 @@ def test_univariate_never_equals_bivariate():
                      id="bivar-from-terms-float-coeff"),
         pytest.param(lambda: LaurentPoly.constant(1.7), id="laurent-constant-float"),
         pytest.param(lambda: LaurentPoly.monomial(2.9, 1), id="laurent-monomial-float-coeff"),
+        pytest.param(lambda: LaurentPoly.monomial(0, True), id="laurent-monomial-zero-bool-exponent"),
         pytest.param(lambda: BiPoly.constant(2.5), id="bivar-constant-float"),
         pytest.param(lambda: RadicalExpr(2.5), id="radical-float-prefactor"),
         pytest.param(lambda: RadicalExpr(BiPoly.one(), 2.5), id="radical-float-radicand"),
