@@ -9,10 +9,11 @@ are dropped only when some sum cancelled.  Above the crossover, a product
 dense enough for the density guard runs as one Kronecker-packed big-int
 multiply, which both arities share.  The two exact square roots,
 ``sqrt_terms`` and ``bi_sqrt_terms``, try a square long and dense enough
-as one packed integer square root and leave every other case to a long
-division; the bivariate kernels of both kinds fold a key (x, y) onto one
-int the same way.  ``compose`` and ``substitute`` split their source so that their work
-is balanced products that reach the packed multiply.
+as one packed integer square root, checked by squaring the candidate root
+with ``mul_terms``, and leave every other case to a long division; the
+bivariate kernels of both kinds fold a key (x, y) onto one int the same
+way.  ``compose``, ``substitute`` and ``**`` split their source so that
+their work is balanced products that reach the packed multiply.
 """
 
 from .pure import (add_terms, bi_mul_terms, bi_sqrt_terms, mul_terms, neg_terms, scale_terms,

@@ -32,8 +32,8 @@ Exact square roots pack the same way.  ``sqrt_terms`` first tries
 ``_packed_sqrt``: it evaluates a square f at 2^(8s), with s-byte slots, as
 one int F, takes ``math.isqrt(F)`` and reads a candidate root off the
 balanced base-2^(8s) digits.  The candidate counts only once its square,
-by ``_packed_mul`` or the pair loop, is f; whenever the path cannot decide,
-the long division ``_divided_sqrt`` does.  A square packs only from
+by ``mul_terms``, is f; whenever the path cannot decide, the long
+division ``_divided_sqrt`` does.  A square packs only from
 ``_SQRT_FROM`` terms on, at most ``_SQRT_FILL`` slots per term;
 ``bi_sqrt_terms`` folds its square as the products do.
 ``_pack`` and ``_unpack`` are the one byte packing that both packed
@@ -243,7 +243,8 @@ def _packed_sqrt(terms):
     its slots, so F = f(2^(8s)) is the square of R = r(2^(8s)).  With s
     from ``_root_width`` every coefficient of r is one balanced digit of
     R, and every coefficient of f fits in two slots, so F is packed as
-    its even slots plus its odd ones, each two slots wide.
+    its even slots plus its odd ones, each two slots wide, and a candidate
+    read off R counts once ``mul_terms`` squares it back to f.
     """
     if len(terms) < _SQRT_FROM:
         return None
@@ -265,11 +266,8 @@ def _packed_sqrt(terms):
     root = _unpack(root_value, range(lo // 2, lo // 2 + step * (slots // 2 + 1), step), width)
     if root is None:
         return None
-    square = _packed_mul(root, root)
-    if square is None:
-        square = _pair_mul(root, root)
     # in descending key order, as the long division builds its root
-    return dict(reversed(root.items())) if square == terms else None
+    return dict(reversed(root.items())) if mul_terms(root, root) == terms else None
 
 
 def _divided_sqrt(terms):

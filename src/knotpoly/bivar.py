@@ -87,7 +87,7 @@ class BiPoly(_TermPoly):
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        return self._power(k, bi_mul_terms)
+        return self._power(k)
 
     # -- transforms --------------------------------------------------
 

@@ -285,8 +285,10 @@ def verify_skein(sequence, b1, b2) -> SkeinReport:
     that is no square there is none in its fraction field either, and 1
     and sqrt(D) are independent over that field.  The residue
     (P_{n+1} - b2 P_{n-1}) - c P_n sqrt(D) therefore vanishes exactly
-    when both of its parts do.  Failures are recorded in the report,
-    never raised.
+    when both of its parts do; a polynomial b1 folds the second part into
+    the first, leaving one.  Failures are recorded in the report, never
+    raised: a part whose text would pass the interpreter's int-to-str
+    digit limit is described by its ``_brief()``.
     """
     sequence = list(sequence)
     if len(sequence) < 3:
@@ -294,15 +296,20 @@ def verify_skein(sequence, b1, b2) -> SkeinReport:
     b1, radicand = (b1.prefactor, b1.radicand) if isinstance(b1, RadicalExpr) else (b1, None)
     checks = []
     for i in range(2, len(sequence)):
+        rational, radical = sequence[i] - b2 * sequence[i - 2], b1 * sequence[i - 1]
         if radicand is None:
-            residue = sequence[i] - b1 * sequence[i - 1] - b2 * sequence[i - 2]
-            ok = residue.is_zero
-            detail = "" if ok else f"residue {residue}"
-        else:
-            rational = sequence[i] - b2 * sequence[i - 2]
-            radical = b1 * sequence[i - 1]
-            ok = rational.is_zero and radical.is_zero
-            detail = "" if ok else (f"residue {rational} - ({radical})"
-                                    f" * sqrt({radicand.render(ascending=False)})")
+            rational, radical = rational - radical, None
+        ok = rational.is_zero and not radical
+        detail = "" if ok else f"residue {_text(rational)}"
+        if radical is not None and not ok:
+            detail += f" - ({_text(radical)}) * sqrt({_text(radicand, ascending=False)})"
         checks.append(TripleCheck(index=i, ok=ok, detail=detail))
     return SkeinReport(checks)
+
+
+def _text(poly, **style) -> str:
+    """``poly.render(**style)``, or ``poly._brief()`` past the int-to-str digit limit."""
+    try:
+        return poly.render(**style)
+    except ValueError:
+        return poly._brief()

@@ -121,10 +121,10 @@ def _substitute(source, images):
     degree m (Brent and Kung, J. ACM 25, 1978), and splits each half again
     down to degree 0.  The squares g^(2^i) are built once, up front, by
     repeated squaring, so a lone term at degree d costs the products of
-    ``g ** d``.  The O(log n) levels of balanced products that replace
-    Horner's n products by g are what the packed multiplication kernel
-    serves.  A bool image raises TypeError, as a bool operand of the ring
-    operators does.
+    square-and-multiply, and ``g ** d`` is this substitution of x^d.  The
+    O(log n) levels of balanced products that replace Horner's n products
+    by g are what the packed multiplication kernel serves.  A bool image
+    raises TypeError, as a bool operand of the ring operators does.
     """
     if any(isinstance(img, bool) for img in images):
         raise TypeError("cannot substitute a bool: it is not a ring value")
@@ -206,7 +206,9 @@ def _evaluate(terms, columns, points) -> complex:
     give it.  Elsewhere each term is summed in complex floats, a half
     exponent taking the principal square root of its coordinate and a real
     coordinate with integer exponents staying a float, so that its powers
-    are float pow, not complex pow's exp/log from exponent 100."""
+    are float pow, not complex pow's exp/log from exponent 100; the root
+    i·r of a negative real is raised as a power of i times float pow of r
+    (``_ImaginaryRoot``)."""
     zs = []
     for value in points:
         if isinstance(value, (str, bytes, bytearray, bool)):
@@ -224,7 +226,10 @@ def _evaluate(terms, columns, points) -> complex:
         if z == 0 and min(nums) < 0:
             raise ZeroBase("negative exponents cannot be evaluated at zero")
         half = reduce(or_, nums) & 1
-        bases.append((cmath.sqrt(z), 1) if half else (z if z.imag else z.real, 2))
+        if half and z.real < 0 and not z.imag:
+            bases.append((_ImaginaryRoot(cmath.sqrt(z).imag), 1))
+        else:
+            bases.append((cmath.sqrt(z), 1) if half else (z if z.imag else z.real, 2))
         if not (half or z.imag):
             m, d = z.real.as_integer_ratio()
             dyadic.append((m, d.bit_length() - 1))
@@ -258,6 +263,19 @@ def _evaluate(terms, columns, points) -> complex:
         top, bottom = (top * m**lo, bottom) if lo >= 0 else (top, bottom * m**-lo)
         top, bottom = (top, bottom << e * hi) if hi >= 0 else (top << -e * hi, bottom)
     return complex(top / bottom) if top else 0j  # 0 / a negative divisor would be -0.0
+
+
+class _ImaginaryRoot:
+    """The principal square root i·r of a negative real, whose k-th power
+    is i^k times the float power r^k."""
+
+    __slots__ = ("r",)
+
+    def __init__(self, r):
+        self.r = r
+
+    def __pow__(self, k):
+        return (1, 1j, -1, -1j)[k % 4] * self.r ** k
 
 
 def _dyadic_horner(values, m, e):
@@ -365,22 +383,14 @@ class _TermPoly:
             return NotImplemented
         return self._like(kernel(self.terms, other_terms))
 
-    def _power(self, k, mul):
-        """``self ** k`` by square-and-multiply with the arity's
-        multiplication kernel ``mul``; NotImplemented unless k is an int."""
+    def _power(self, k):
+        """``self ** k``, x^k with ``self`` substituted by ``_substitute``,
+        whose squares and split it shares; NotImplemented unless k is an int."""
         if type(k) is not int:
             return NotImplemented
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        result = None   # the unit, until the first factor is taken as it is
-        base = self.terms
-        while k:
-            if k & 1:
-                result = base if result is None else mul(result, base)
-            k >>= 1
-            if k:
-                base = mul(base, base)
-        return self._like({self._UNIT: 1} if result is None else result)
+        return _substitute({(k,): 1}, (self,))
 
     def _render(self, style: str, descending: bool, body) -> str:
         """``render`` for either arity: the JSON form, or the terms in key
@@ -528,7 +538,7 @@ class LaurentPoly(_TermPoly):
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        return self._power(k, mul_terms)
+        return self._power(k)
 
     # -- queries -----------------------------------------------------
 

@@ -235,7 +235,7 @@ def test_compose_six_levels_deep_matches_dense_horner():
 ])
 def test_sparse_compose_costs_no_more_products_than_a_power(monkeypatch, source):
     # a lone term at degree d is multiplied by one of the squares of g per
-    # set bit of d, as square-and-multiply forms g ** d
+    # set bit of d, and ``g ** d`` is that same split of x^d
     calls = []
     kernel = laurent.mul_terms
     monkeypatch.setattr(laurent, "mul_terms", lambda a, b: calls.append(1) or kernel(a, b))
@@ -329,6 +329,11 @@ def test_eval_complex_exact_on_cancellation():
     # a real coordinate with integer exponents beside a half exponent is
     # raised by float pow: complex pow goes through exp/log from exponent 100
     assert repr(BiPoly({(1, 300): 1}).eval_complex((4.0, -1.0))) == repr(2 + 0j)
+    # so is r in the principal root i·r of a negative real coordinate, which
+    # a half exponent k raises as i^k times r^k
+    for poly, x in [(LaurentPoly({301: 1, 2: -1}), -2.25),
+                    (BiPoly({(301, 0): 1, (2, 0): -1}), (-2.25, 1.0))]:
+        assert repr(poly.eval_complex(x)) == repr(complex(2.25, 1.5 ** 301))
 
 
 # the exact path refuses NaN, as ``as_integer_ratio`` does; every other path

@@ -176,6 +176,20 @@ class TestVerify:
         report = verify_skein([one, one, third * one], b1, r)
         assert report.checks == [TripleCheck(2, False, detail)]
 
+    @pytest.mark.parametrize("sequence, b1, b2, detail", [
+        ([LaurentPoly.one(), LaurentPoly.one(), LaurentPoly({0: 10**5000})], LaurentPoly.one(), 1,
+         "residue a 1-term polynomial with exponents of t from 0 to 0"),
+        ([BiPoly.one(("r", "x")), 10**5000 * BiPoly.one(("r", "x")), 2 * BiPoly.one(("r", "x"))],
+         (r * x - 2 * r).sqrt(), r,
+         "residue 2 - r - (a 1-term polynomial with exponents of r from 1/2 to 1/2, "
+         "x from 0 to 0) * sqrt(x - 2)"),
+    ], ids=["polynomial", "radical"])
+    def test_residue_past_the_digit_limit_is_recorded(self, sequence, b1, b2, detail):
+        # a coefficient of 5001 digits is past the interpreter's int-to-str
+        # limit, so its part of the residue is described, not written
+        report = verify_skein(sequence, b1, b2)
+        assert report.checks == [TripleCheck(2, False, detail)]
+
     def test_radical_b1_accepts_true_relation(self):
         # r = b1 * 0 + r * 1: P_1 = 0 clears the radical part
         b1 = (r * x - 2 * r).sqrt()

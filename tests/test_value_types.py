@@ -349,14 +349,35 @@ def test_builders_use_the_paper_names(build, names):
 ], ids=["laurent", "bivar"])
 @pytest.mark.parametrize("k, products", [(0, 0), (1, 0), (2, 1), (8, 3), (13, 5)])
 def test_power_makes_no_product_with_the_unit(monkeypatch, module, kernel, poly, k, products):
-    # square-and-multiply takes its first factor as it is: one squaring per
-    # bit below the top one and one product per further set bit
+    # ``**`` splits x^k over the squares of the base and takes its first
+    # factor as it is: one squaring per bit below the top one and one
+    # product per further set bit
     mul, calls = getattr(module, kernel), []
     monkeypatch.setattr(module, kernel, lambda a, b: calls.append(1) or mul(a, b))
     power = poly ** k
     assert len(calls) == products
     monkeypatch.undo()
     assert power == functools.reduce(operator.mul, [poly] * k, 1)
+
+
+# one-term bases take the remap, zero and the rest the split; the terms
+# carry half exponents and up to 64-bit coefficients, the names differ from
+# the defaults
+_power_coeffs = st.one_of(coefficients, wide_coefficients)
+_power_bases = st.one_of(
+    *(laurent_polys(max_terms=n, coeffs=_power_coeffs).map(lambda p: p.rename("u")) for n in (1, 5)),
+    *(bi_polys(max_terms=n, coeffs=_power_coeffs).map(lambda p: p.rename(("a", "b")))
+      for n in (1, 5)))
+
+
+@given(poly=_power_bases, k=st.integers(min_value=0, max_value=9))
+@example(poly=LaurentPoly.zero("u"), k=0)
+@example(poly=BiPoly.zero(("a", "b")), k=0)
+def test_power_is_the_repeated_product(poly, k):
+    power = poly ** k
+    assert power == functools.reduce(operator.mul, [poly] * k, 1)
+    name = "variable" if isinstance(poly, LaurentPoly) else "variables"
+    assert type(power) is type(poly) and getattr(power, name) == getattr(poly, name)
 
 
 # -- the canonical JSON writer is exactly ``json.dumps`` of its own parse -----
