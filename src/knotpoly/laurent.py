@@ -166,14 +166,16 @@ def _substitute_rows(source, images, monos, zero):
 def _split(items, squares):
     """sum(v * g^d) over the pairs (d, v) of ``items``, in ascending order of
     d, by ``_substitute``'s split down to degree 0, with ``squares[i]`` =
-    g^(2^i)."""
+    g^(2^i).  A high half that is the int 1 is the square itself, with no
+    product by 1."""
     top = items[-1][0]
     if not top:
         return items[0][1]
     i = top.bit_length() - 1
     m = 1 << i
     cut = bisect_left(items, (m,))
-    high = _split([(d - m, v) for d, v in items[cut:]], squares) * squares[i]
+    high = _split([(d - m, v) for d, v in items[cut:]], squares)
+    high = squares[i] if type(high) is int and high == 1 else high * squares[i]
     return high + _split(items[:cut], squares) if cut else high
 
 
@@ -202,12 +204,14 @@ def _evaluate(terms, columns, points) -> complex:
     OverflowError (as ``Fraction`` does) and a zero one ZeroBase if its
     variable has a negative exponent.  At real coordinates with integer
     exponents the sum is exact, rounded once: each coordinate is m/2^e, so
-    a Horner on ints per variable, nested for two, and one int division
-    give it.  Elsewhere each term is summed in complex floats, a half
-    exponent taking the principal square root of its coordinate and a real
-    coordinate with integer exponents staying a float, so that its powers
-    are float pow, not complex pow's exp/log from exponent 100; the root
-    i·r of a negative real is raised as a power of i times float pow of r
+    a Horner on ints over each variable's full exponent range (for two, one
+    per row, then one over the rows) and one int division give it.
+    Elsewhere each term is summed in complex floats, a half exponent taking
+    the principal square root of its coordinate and a real coordinate with
+    integer exponents staying a float, so that its powers are float pow,
+    not complex pow's exp/log from exponent 100; a base i·r on the
+    imaginary axis, a negative real's root or an imaginary coordinate with
+    integer exponents, is raised as a power of i times float pow of r
     (``_ImaginaryRoot``)."""
     zs = []
     for value in points:
@@ -221,18 +225,16 @@ def _evaluate(terms, columns, points) -> complex:
         zs.append(z)
     if not terms:
         return 0j
-    bases, dyadic = [], []  # per variable: (base, numerator step), and (m, e) if exact
+    bases, dyadic = [], []  # per variable: (base, numerator step), and (m, e, lo, hi) if exact
     for z, nums in zip(zs, columns):
         if z == 0 and min(nums) < 0:
             raise ZeroBase("negative exponents cannot be evaluated at zero")
         half = reduce(or_, nums) & 1
-        if half and z.real < 0 and not z.imag:
-            bases.append((_ImaginaryRoot(cmath.sqrt(z).imag), 1))
-        else:
-            bases.append((cmath.sqrt(z), 1) if half else (z if z.imag else z.real, 2))
+        base, step = (cmath.sqrt(z), 1) if half else (z if z.imag else z.real, 2)
+        bases.append((_ImaginaryRoot(base.imag) if base.imag and not base.real else base, step))
         if not (half or z.imag):
             m, d = z.real.as_integer_ratio()
-            dyadic.append((m, d.bit_length() - 1))
+            dyadic.append((m, d.bit_length() - 1, min(nums) >> 1, max(nums) >> 1))
     if len(dyadic) < len(zs):
         total = 0j
         if len(bases) == 1:
@@ -245,29 +247,23 @@ def _evaluate(terms, columns, points) -> complex:
             total += coeff * wa ** (na // sa) * wb ** (nb // sb)
         return total
     if len(dyadic) == 1:
-        top, lo, hi = _dyadic_horner(terms, *dyadic[0])
-        scales = [(*dyadic[0], lo, hi)]
+        top = _dyadic_horner(terms, *dyadic[0])
     else:
-        (ma, ea), (mb, eb) = dyadic
         rows = {}
         for (na, nb), c in terms.items():
             rows.setdefault(na, {})[nb] = c
-        sums = {na: _dyadic_horner(row, mb, eb) for na, row in rows.items()}
-        lob, hib = min(s[1] for s in sums.values()), max(s[2] for s in sums.values())
-        # each row's sum brought to the second variable's whole range lob..hib
-        top, loa, hia = _dyadic_horner({na: acc * mb ** (lo - lob) << eb * (hib - hi)
-                                        for na, (acc, lo, hi) in sums.items()}, ma, ea)
-        scales = [(ma, ea, loa, hia), (mb, eb, lob, hib)]
+        top = _dyadic_horner({na: _dyadic_horner(row, *dyadic[1]) for na, row in rows.items()},
+                             *dyadic[0])
     bottom = 1  # the sum is top / bottom: top carries m^lo or 2^-(e·hi) when that is an int
-    for m, e, lo, hi in scales:
+    for m, e, lo, hi in dyadic:
         top, bottom = (top * m**lo, bottom) if lo >= 0 else (top, bottom * m**-lo)
         top, bottom = (top, bottom << e * hi) if hi >= 0 else (top << -e * hi, bottom)
     return complex(top / bottom) if top else 0j  # 0 / a negative divisor would be -0.0
 
 
 class _ImaginaryRoot:
-    """The principal square root i·r of a negative real, whose k-th power
-    is i^k times the float power r^k."""
+    """A base i·r on the imaginary axis, whose k-th power is i^k times the
+    float power r^k."""
 
     __slots__ = ("r",)
 
@@ -278,17 +274,15 @@ class _ImaginaryRoot:
         return (1, 1j, -1, -1j)[k % 4] * self.r ** k
 
 
-def _dyadic_horner(values, m, e):
-    """(acc, lo, hi) for the int dict ``values`` of items (2k, v), with k
-    from lo to hi: acc = sum(v·m^(k - lo)·2^(e·(hi - k))), by Horner."""
-    nums = sorted(values, reverse=True)
-    hi = prev = nums[0] >> 1
-    acc = 0
-    for num in nums:
+def _dyadic_horner(values, m, e, lo, hi):
+    """sum(v·m^(k - lo)·2^(e·(hi - k))) over the items (2k, v) of the int
+    dict ``values``, by Horner over the whole range k = lo..hi."""
+    acc, prev = 0, hi
+    for num in sorted(values, reverse=True):
         k = num >> 1
         acc = acc * m ** (prev - k) + (values[num] << e * (hi - k))
         prev = k
-    return acc, prev, hi
+    return acc * m ** (prev - lo)
 
 
 class _TermPoly:
@@ -394,7 +388,9 @@ class _TermPoly:
 
     def _render(self, style: str, descending: bool, body) -> str:
         """``render`` for either arity: the JSON form, or the terms in key
-        order with explicit signs, ``body(key)`` giving a term's powers."""
+        order, ``body(key)`` giving a term's powers: each term is its sign,
+        its magnitude (left out when 1 before powers) and its powers, and
+        the first term's "+ x" is then rewritten "x", its "- x" "-x"."""
         if style == "json":
             return self._json_text()
         if style != "text":
@@ -405,17 +401,10 @@ class _TermPoly:
         for key in sorted(self.terms, reverse=descending):
             coeff = self.terms[key]
             powers = body(key)
-            mag = abs(coeff)
-            if not powers:
-                text = str(mag)
-            elif mag == 1:
-                text = powers
-            else:
-                text = f"{mag}{powers}"
-            if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+            text = powers if powers and (coeff == 1 or coeff == -1) else f"{abs(coeff)}{powers}"
+            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+        head = parts[0]
+        parts[0] = head[2:] if head[0] == "+" else f"-{head[2:]}"
         return " ".join(parts)
 
     def __eq__(self, other):

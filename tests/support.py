@@ -120,6 +120,40 @@ def naive_substitute(poly, image_a, image_b):
     return result
 
 
+def _naive_powers(name, num):
+    # name^e for the exponent e = num/2 as a Fraction: nothing at 0, the
+    # bare name at 1, a positive integer bare, anything else in parentheses
+    e = Fraction(num, 2)
+    if e == 0:
+        return ""
+    if e == 1:
+        return name
+    return f"{name}^{e}" if e > 0 and e.denominator == 1 else f"{name}^({e})"
+
+
+def naive_render(poly, ascending=True):
+    """``poly.render()``'s text, term by term from its definition: terms in
+    descending order for a LaurentPoly and in ``ascending`` order of the key
+    for a BiPoly, each its coefficient then its powers, a coefficient of 1
+    or -1 written as its sign alone before powers; the first term signed
+    like a number, every later one joined by " + " or " - "."""
+    if not poly.terms:
+        return "0"
+    bivariate = isinstance(poly, BiPoly)
+    names = poly.variables if bivariate else (poly.variable,)
+    text = ""
+    for key in sorted(poly.terms, reverse=not (bivariate and ascending)):
+        coeff = poly.terms[key]
+        powers = "".join(_naive_powers(name, num)
+                         for name, num in zip(names, key if bivariate else (key,)))
+        word = powers if powers and abs(coeff) == 1 else f"{abs(coeff)}{powers}"
+        if not text:
+            text = word if coeff > 0 else f"-{word}"
+        else:
+            text += f" + {word}" if coeff > 0 else f" - {word}"
+    return text
+
+
 def fraction_sum(poly, point):
     """The value of an integer-exponent ``poly`` at a real ``point``, a
     number for a LaurentPoly and a pair for a BiPoly: each term in

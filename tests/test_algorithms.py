@@ -331,8 +331,13 @@ def test_eval_complex_exact_on_cancellation():
     assert repr(BiPoly({(1, 300): 1}).eval_complex((4.0, -1.0))) == repr(2 + 0j)
     # so is r in the principal root i·r of a negative real coordinate, which
     # a half exponent k raises as i^k times r^k
+    # a base i·r on the imaginary axis: that root, or an imaginary
+    # coordinate with integer exponents in either variable
     for poly, x in [(LaurentPoly({301: 1, 2: -1}), -2.25),
-                    (BiPoly({(301, 0): 1, (2, 0): -1}), (-2.25, 1.0))]:
+                    (BiPoly({(301, 0): 1, (2, 0): -1}), (-2.25, 1.0)),
+                    (LaurentPoly({602: 1, 4: -1}), 1.5j),
+                    (BiPoly({(602, 0): 1, (4, 0): -1}), (1.5j, 1.0)),
+                    (BiPoly({(0, 602): 1, (0, 4): -1}), (2.0, 1.5j))]:
         assert repr(poly.eval_complex(x)) == repr(complex(2.25, 1.5 ** 301))
 
 

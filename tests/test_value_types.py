@@ -36,7 +36,7 @@ from knotpoly import (
 )
 from knotpoly import bivar, chebyshev, invariants, laurent, qnumbers
 
-from support import bi_polys, coefficients, laurent_polys, wide_coefficients
+from support import bi_polys, coefficients, laurent_polys, naive_render, wide_coefficients
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
@@ -404,3 +404,30 @@ def test_laurent_json_writer_matches_the_dict_path(poly, name):
 def test_bivar_json_writer_matches_the_dict_path(poly, names):
     poly = poly.rename(names)
     assert poly.render("json") == json.dumps(poly.to_json_dict())
+
+
+# -- the text writer is the naive term-by-term one ---------------------------
+
+# coefficients of 1 and -1 often, small and 64-bit ones otherwise; the
+# numerators run over zero (the constant term), odd (half exponents) and
+# negative values
+_text_coeffs = st.one_of(st.sampled_from([1, -1]), coefficients, wide_coefficients)
+_text_names = st.sampled_from(["t", "q", "θ", "ab"])
+
+
+@given(poly=laurent_polys(coeffs=_text_coeffs), name=_text_names)
+@example(poly=LaurentPoly({0: -1}), name="t")
+@example(poly=LaurentPoly({2: -1, 0: 1, -1: 1}), name="t")
+def test_laurent_text_writer_matches_the_naive_one(poly, name):
+    poly = poly.rename(name)
+    assert poly.render() == str(poly) == naive_render(poly)
+
+
+@given(poly=bi_polys(coeffs=_text_coeffs),
+       names=st.lists(_text_names, min_size=2, max_size=2, unique=True).map(tuple),
+       ascending=st.booleans())
+@example(poly=BiPoly({(0, 0): -1}), names=("q", "p"), ascending=True)
+@example(poly=BiPoly({(0, 0): 1, (1, -2): -1, (-3, 2): 1}), names=("q", "p"), ascending=False)
+def test_bivar_text_writer_matches_the_naive_one(poly, names, ascending):
+    poly = poly.rename(names)
+    assert poly.render(ascending=ascending) == naive_render(poly, ascending)
