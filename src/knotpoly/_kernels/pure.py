@@ -36,12 +36,29 @@ by ``mul_terms``, is f; whenever the path cannot decide, the long
 division ``_divided_sqrt`` does.  A square packs only from
 ``_SQRT_FROM`` terms on, at most ``_SQRT_FILL`` slots per term;
 ``bi_sqrt_terms`` folds its square as the products do.
-``_pack`` and ``_unpack`` are the one byte packing that both packed
+
+Compositions pack whole.  ``compose_terms`` evaluates each sum f_d·g^d of
+a substitution at a packed image g as one int, by the power-of-two split
+of ``laurent._split`` run on ints over the squares of g's int, and unpacks
+it once.  Keys are divided by their common stride, and an image with
+negative exponents is multiplied by X^c, c the depth of its lowest one,
+so that every power is an int; each low half of the split is then shifted
+once up to its node's degree, and leaves below degree ``_COMPOSE_LEAF`` run
+a Horner.  The slot width holds the bound sum(|f_d|·|g|^d), |g| the sum
+of the image's |coefficients|, so one width serves every square and partial
+sum, which is why a large evaluation costs more packed than split.  It
+packs only from ``_COMPOSE_FROM`` source terms, with at most
+``_COMPOSE_FILL`` slots per term of g's top power and at most
+``_COMPOSE_BYTES`` bytes in a result; a bivariate image is folded first,
+additively, at (0, 0).
+
+``_pack`` and ``_unpack`` are the one byte packing that all three packed
 kernels share.
 """
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 
 # Shorter-operand length from which a product may be packed; the least
 # byte cost of a slot in the density guard; and the log2 of the pair count
@@ -68,6 +85,29 @@ _KARATSUBA_FROM = 19
 # 64-bit coefficients and a 1/4 fill.
 _SQRT_FROM = 96
 _SQRT_FILL = 1.1
+# Source length, in terms over all of a substitution's sources, from which
+# a composition may be packed; the most slots per term of the image's top
+# power g^D; the most bytes in a packed result; and the degree below which
+# the packed split runs a Horner.  All four were set against
+# ``laurent._split`` (through ``compose``, ``substitute`` and this kernel)
+# on the Chebyshev-route, HOMFLY-bridge and q-number members of degree
+# 2-300, and on sources of degree 4-512, dense, one term in ten or of 2-4
+# terms, with 1- to 64-bit coefficients, at t + 1/t, 1 + t + 1/t,
+# t^(1/2) - t^(-1/2), a 4-term image, z^2 + 2 and a + z.  From 6 terms
+# every member packed in under 8 KiB ran 1.07-4.4x as fast, and bridge
+# members of 4-5 terms 0.88-0.96x.  Images of 3-5 slots per term
+# (t^2 + 1/t to t^4 + 1/t) ran 1.5-3.0x as fast to degree 64, while a + z,
+# folded to D slots per term, ran 1.3-1.7x at degree 4 and 0.01-0.53x at
+# 128.  Below 8 KiB packing ran 1.4-4.1x as fast, from 8 to 16 KiB 0.92-5.4x
+# (the q-number member V_200 at t + 1/t 0.92x); past 16 KiB the one slot
+# width, which every square and partial sum pays for, costs more than the
+# dict products it saves (0.50x for a source of one term in ten, 0.64x for
+# a dense one).  A Horner below degree 8 took 19 % off the packed members'
+# time against a split down to degree 0.
+_COMPOSE_FROM = 6
+_COMPOSE_FILL = 8
+_COMPOSE_BYTES = 1 << 14
+_COMPOSE_LEAF = 8
 
 
 def add_terms(a, b):
@@ -198,6 +238,89 @@ def _packed_mul(a, b):
     product = packed_a * packed_a if a is b else packed_a * _pack(b, lo_b, step, len_b, width)
     lo = lo_a + lo_b
     return _unpack(product, range(lo, lo + step * slots, step), width)
+
+
+def compose_terms(sources, image):
+    """[f(g) for each source f], f(g) = sum(f_d·g^d) over the items
+    (d, f_d) of f and g the term dict ``image`` (int keys, or pairs, folded
+    as the products fold them), by one big-int evaluation per source; or
+    None when the crossover, the density guard or the size guard refuses
+    them.  Every source is a nonempty dict of nonnegative int degrees to
+    int coefficients; they share the image's squares and one slot width.
+
+    Keys are divided by their common stride, the gcd of the image's keys
+    (a source coefficient sits at key 0), so that g's exponents span
+    [lo, hi] with lo <= 0 <= hi.  With X = 2^(8w) and c = -lo, A = X^c·g(X)
+    is an int, and a source of top degree D evaluates to X^(cD)·f(g(X)),
+    whose exponents lie in 0..D·(hi - lo): D·(hi - lo) + 1 slots, read back
+    by ``_unpack``.  Its coefficients are at most sum(|f_d|·|g|^d), |g| the
+    sum of the image's |coefficients|, and w bytes hold that bound with a
+    sign bit.
+    """
+    if sum(map(len, sources)) < _COMPOSE_FROM:
+        return None
+    rows = [sorted(source.items()) for source in sources]
+    top = max(row[-1][0] for row in rows)
+    bivariate = type(next(iter(image))) is tuple
+    base = 0
+    if bivariate:
+        # folded at lo (0, 0), so that the fold is additive, with W past the
+        # y' range of every result; keys are read back from base = top·min y'
+        xs, ys = zip(*image)
+        fold_step = (gcd(*xs) or 1, gcd(*ys) or 1)
+        lo_y = min(0, *ys) // fold_step[1]
+        fold_width = top * (max(0, *ys) // fold_step[1] - lo_y) + 1
+        image, base = _fold(image, (0, 0), fold_step, fold_width), top * lo_y
+    step = gcd(*image) or 1
+    lo, hi = min(0, *image) // step, max(0, *image) // step
+    slots = top * (hi - lo) + 1
+    # g^D has at most C(D + n - 1, n - 1) terms, n = len(g)
+    if slots > _COMPOSE_FILL * comb(top + len(image) - 1, len(image) - 1):
+        return None
+    norm = sum(map(abs, image.values()))
+    bound = 0
+    for row in rows:
+        acc, prev = 0, top
+        for d, c in reversed(row):
+            acc = acc * norm ** (prev - d) + abs(c)
+            prev = d
+        bound = max(bound, acc * norm ** prev)
+    width = bound.bit_length() // 8 + 1
+    if slots * width > _COMPOSE_BYTES:
+        return None
+    squares = [_pack(image, lo * step, step, hi - lo + 1, width)]
+    for _ in range(top.bit_length() - 1):
+        squares.append(squares[-1] * squares[-1])
+    out = []
+    for row in rows:
+        degree = row[-1][0]
+        first = degree * lo * step - base
+        terms = _unpack(_compose_split(row, squares, -8 * width * lo),
+                        range(first, first + (degree * (hi - lo) + 1) * step, step), width)
+        out.append(_unfold(terms, (0, base * fold_step[1]), fold_step, fold_width)
+                   if bivariate else terms)
+    return out
+
+
+def _compose_split(items, squares, shift):
+    """sum(v·A^d·2^(shift·(T - d))) over the pairs (d, v) of ``items``, in
+    ascending order of d, T the top degree and ``squares[i]`` = A^(2^i):
+    ``laurent._split`` on ints, each low half shifted once up to its
+    node's degree, and a Horner on ints below degree ``_COMPOSE_LEAF``."""
+    top = items[-1][0]
+    if top < _COMPOSE_LEAF:
+        acc, prev = 0, top
+        for d, v in reversed(items):
+            acc = acc * squares[0] ** (prev - d) + (v << shift * (top - d))
+            prev = d
+        return acc * squares[0] ** prev
+    i = top.bit_length() - 1
+    m = 1 << i
+    cut = bisect_left(items, (m,))
+    high = _compose_split([(d - m, v) for d, v in items[cut:]], squares, shift) * squares[i]
+    if not cut:
+        return high
+    return high + (_compose_split(items[:cut], squares, shift) << shift * (top - items[cut - 1][0]))
 
 
 def sqrt_terms(terms):

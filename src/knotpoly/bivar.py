@@ -14,7 +14,8 @@ import math
 
 from ._kernels import add_terms, bi_mul_terms, bi_sqrt_terms, neg_terms, scale_terms, sub_terms
 from .errors import NonIntegralOuter, UnresolvedRadical
-from .laurent import _check_names, _evaluate, _pow_str, _substitute, _TermPoly, _to_numerator
+from .laurent import (_check_names, _evaluate, _pow_str, _spans, _substitute, _TermPoly,
+                      _to_numerator)
 
 __all__ = ["BiPoly", "RadicalExpr"]
 
@@ -128,7 +129,7 @@ class BiPoly(_TermPoly):
             root_c = 1
         square = root_c * root_c
         # each variable's lowest numerator, rounded down to an even one
-        even_a, even_b = (low - low % 2 for low in map(min, zip(*self.terms)))
+        even_a, even_b = (low - low % 2 for _, low, _ in _spans(self.terms))
         pre = self._like({(even_a // 2, even_b // 2): root_c})
         residual = self._like(
             {(na - even_a, nb - even_b): c // square for (na, nb), c in self.terms.items()}
@@ -140,7 +141,7 @@ class BiPoly(_TermPoly):
         real ones with integer exponents, else a complex-float sum."""
         if not (isinstance(point, (tuple, list)) and len(point) == 2):
             raise TypeError(f"cannot evaluate at {point!r}: not a tuple or list of two numbers")
-        return _evaluate(self.terms, zip(*self.terms), point)
+        return _evaluate(self.terms, point)
 
     # -- rendering ---------------------------------------------------
 

@@ -18,10 +18,10 @@ import json
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import partial, reduce
-from operator import or_
+from functools import partial
 
-from ._kernels import add_terms, mul_terms, neg_terms, scale_terms, sqrt_terms, sub_terms
+from ._kernels import (add_terms, compose_terms, mul_terms, neg_terms, scale_terms, sqrt_terms,
+                       sub_terms)
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
 
 __all__ = ["LaurentPoly"]
@@ -115,7 +115,16 @@ def _substitute(source, images):
 
     An image that is a monomial ``c X^e`` of that ring is an exponent remap,
     sending degree k to key k·e with coefficient c^k, so with every image a
-    monomial the substitution is one pass over the terms.  Any other image
+    monomial the substitution is one pass over the terms.  When exactly one
+    image g is a polynomial of the ring with two or more terms, every other
+    image a monomial and the source longer than one term, the source is
+    grouped by its degrees in the monomial images; the kernel
+    ``compose_terms`` evaluates each group, a polynomial in g alone, at the
+    packed g as one big int, and each result is remapped by its group's
+    monomials.  The kernel refuses a source below its crossover, an image
+    whose powers are sparse (t^1000000 + t + 1) and a result past its size
+    guard.  Those, ``**`` (a one-term source), non-polynomial images and a
+    second polynomial image take the split: the first non-monomial image
     g splits the degrees present, p(g) = p_lo(g) + g^m·p_hi(g) with m the
     largest power of two up to the top degree, so both halves stay below
     degree m (Brent and Kung, J. ACM 25, 1978), and splits each half again
@@ -142,11 +151,30 @@ def _substitute(source, images):
 
 def _substitute_rows(source, images, monos, zero):
     """``_substitute`` with its ring's ``zero`` and each image's monomial
-    ``(e, c)``, or None for an image that is not one."""
+    ``(e, c)``, or None for an image that is not one.  A composition that
+    packs sums its groups' remapped terms; any other takes the split, each
+    row's value being the substitution of the remaining images."""
     if None not in monos:
         return zero._like(_remap(source, monos, zero._UNIT))
     g = monos.index(None)
     rest, rest_monos = images[:g] + images[g + 1:], monos[:g] + monos[g + 1:]
+    if len(source) > 1 and None not in rest_monos and isinstance(images[g], _TermPoly) \
+            and images[g].terms:
+        groups = {}
+        for degrees, coeff in source.items():
+            groups.setdefault(degrees[:g] + degrees[g + 1:], {})[degrees[g]] = coeff
+        composed = compose_terms(list(groups.values()), images[g].terms)
+        if composed is not None:
+            out = {}
+            for degrees, terms in zip(groups, composed):
+                if degrees:  # the group's monomial, as a shift and a scale
+                    ((at, scale),) = _remap({degrees: 1}, rest_monos, zero._UNIT).items()
+                    if type(at) is int:
+                        terms = {k + at: scale * c for k, c in terms.items()}
+                    else:
+                        terms = {(x + at[0], y + at[1]): scale * c for (x, y), c in terms.items()}
+                out = add_terms(out, terms) if out else terms
+            return zero._like(out)
     rows = {}
     for degrees, coeff in source.items():
         rows.setdefault(degrees[g], {})[degrees[:g] + degrees[g + 1:]] = coeff
@@ -197,9 +225,39 @@ def _remap(source, monos, unit):
     return out
 
 
-def _evaluate(terms, columns, points) -> complex:
+def _spans(terms):
+    """Each variable's (bits, lo, hi) over the keys of the nonempty term
+    dict ``terms``: the OR of its exponent numerators, odd when one is, and
+    the least and the greatest of them, all in one pass over the keys."""
+    keys = iter(terms)
+    first = next(keys)
+    if type(first) is int:
+        bits = lo = hi = first
+        for k in keys:
+            bits |= k
+            if k < lo:
+                lo = k
+            elif k > hi:
+                hi = k
+        return ((bits, lo, hi),)
+    (bits_a, bits_b) = (lo_a, lo_b) = (hi_a, hi_b) = first
+    for a, b in keys:
+        bits_a |= a
+        bits_b |= b
+        if a < lo_a:
+            lo_a = a
+        elif a > hi_a:
+            hi_a = a
+        if b < lo_b:
+            lo_b = b
+        elif b > hi_b:
+            hi_b = b
+    return (bits_a, lo_a, hi_a), (bits_b, lo_b, hi_b)
+
+
+def _evaluate(terms, points) -> complex:
     """The value of ``terms`` at ``points``, one coordinate per variable,
-    ``columns`` holding each variable's exponent numerators.  A str, bytes
+    each variable's parity and exponent range taken by ``_spans``.  A str, bytes
     or bool coordinate raises TypeError, NaN ValueError, an infinite one
     OverflowError (as ``Fraction`` does) and a zero one ZeroBase if its
     variable has a negative exponent.  At real coordinates with integer
@@ -226,15 +284,15 @@ def _evaluate(terms, columns, points) -> complex:
     if not terms:
         return 0j
     bases, dyadic = [], []  # per variable: (base, numerator step), and (m, e, lo, hi) if exact
-    for z, nums in zip(zs, columns):
-        if z == 0 and min(nums) < 0:
+    for z, (bits, lo, hi) in zip(zs, _spans(terms)):
+        if z == 0 and lo < 0:
             raise ZeroBase("negative exponents cannot be evaluated at zero")
-        half = reduce(or_, nums) & 1
+        half = bits & 1
         base, step = (cmath.sqrt(z), 1) if half else (z if z.imag else z.real, 2)
         bases.append((_ImaginaryRoot(base.imag) if base.imag and not base.real else base, step))
         if not (half or z.imag):
             m, d = z.real.as_integer_ratio()
-            dyadic.append((m, d.bit_length() - 1, min(nums) >> 1, max(nums) >> 1))
+            dyadic.append((m, d.bit_length() - 1, lo >> 1, hi >> 1))
     if len(dyadic) < len(zs):
         total = 0j
         if len(bases) == 1:
@@ -429,11 +487,9 @@ class _TermPoly:
         pass the interpreter's int-to-str digit limit."""
         if not self.terms:
             return "the zero polynomial"
-        bivariate = isinstance(self._UNIT, tuple)
-        names = self._names if bivariate else (self._names,)
-        columns = zip(*self.terms) if bivariate else (self.terms,)
-        ranges = ", ".join(f"{name} from {Fraction(min(nums), 2)} to {Fraction(max(nums), 2)}"
-                           for name, nums in zip(names, columns))
+        names = self._names if isinstance(self._UNIT, tuple) else (self._names,)
+        ranges = ", ".join(f"{name} from {Fraction(lo, 2)} to {Fraction(hi, 2)}"
+                           for name, (_, lo, hi) in zip(names, _spans(self.terms)))
         return f"a {len(self.terms)}-term polynomial with exponents of {ranges}"
 
     def __bool__(self):
@@ -587,7 +643,7 @@ class LaurentPoly(_TermPoly):
     def eval_complex(self, value) -> complex:
         """The value at a number: exact at a real one with integer exponents,
         else a complex-float sum (see ``_evaluate``)."""
-        return _evaluate(self.terms, (self.terms,), (value,))
+        return _evaluate(self.terms, (value,))
 
     # -- rendering ---------------------------------------------------
 

@@ -7,6 +7,7 @@ against their term counts."""
 import gc
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from knotpoly import (
     RadicalExpr,
     alexander_rx,
     alexander_rx_seq,
+    bivar,
     cheb_first_seq,
     cheb_second_seq,
     homfly_rec,
@@ -245,6 +247,92 @@ def test_sparse_compose_costs_no_more_products_than_a_power(monkeypatch, source)
     composed = LaurentPoly(source).compose(inner)
     assert composed == power + source.get(0, 0)
     assert len(calls) - power_calls <= power_calls
+
+
+# -- packed composition or the split ------------------------------------------
+
+
+def _spy(monkeypatch, module, name):
+    """The list of results of every call to ``module.name``, as the module
+    looks it up."""
+    results, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: results.append(fn(*args)) or results[-1])
+    return results
+
+
+_T_PLUS_INV = LaurentPoly({2: 1, -2: 1})
+
+
+@pytest.mark.parametrize("poly, image", [
+    pytest.param(LaurentPoly({2 * k: k + 1 for k in range(pure._COMPOSE_FROM - 1)}), _T_PLUS_INV,
+                 id="below-the-crossover"),
+    pytest.param(LaurentPoly({2 * k: 1 for k in range(61)}),
+                 LaurentPoly({2 * 10**6: 1, 2: 1, 0: 1}), id="sparse-image"),
+])
+def test_small_or_sparse_compositions_take_the_split(monkeypatch, poly, image):
+    # the sparse image's powers up to the 60th have 1891 terms over 6·10^7
+    # slots: the guard refuses it before anything is packed
+    packed = _spy(monkeypatch, laurent, "compose_terms")
+    products = _spy(monkeypatch, laurent, "mul_terms")
+    tracemalloc.start()
+    try:
+        result = poly.compose(image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert packed == [None] and products
+    assert peak < 4 << 20
+    monkeypatch.undo()
+    _same(result, naive_compose(poly, image))
+
+
+@pytest.mark.parametrize("power", [
+    pytest.param(lambda: _T_PLUS_INV ** 40, id="laurent"),
+    pytest.param(lambda: BiPoly({(2, 0): 1, (0, 2): 1, (0, 0): 3}) ** 40, id="bivar"),
+])
+def test_powers_take_the_split(monkeypatch, power):
+    # ``**`` substitutes its base into the one-term source x^k
+    packed = _spy(monkeypatch, laurent, "compose_terms")
+    power()
+    assert packed == []
+
+
+@pytest.mark.parametrize("image", [3, Fraction(1, 2), RadicalExpr(BiPoly.gens()[0])])
+def test_non_polynomial_images_take_the_split(monkeypatch, image):
+    packed = _spy(monkeypatch, laurent, "compose_terms")
+    poly = LaurentPoly({2 * k: k + 1 for k in range(40)})
+    if isinstance(image, RadicalExpr):
+        # no ring arithmetic with ints: refused before any path is chosen
+        with pytest.raises(TypeError):
+            poly.compose(image)
+    else:
+        assert poly.compose(image) == naive_compose(poly, image)
+    assert packed == []
+
+
+@pytest.mark.parametrize("n", [32, 64, 150])
+def test_suite_members_take_the_packed_path(monkeypatch, n):
+    # the Chebyshev route of alexander-chebyshev and the substitution of
+    # homfly-bridge, as their registry entries write them, make no product
+    entries = {entry.suite: entry for entry in identities.IDENTITIES
+               if entry.suite in ("alexander-chebyshev", "homfly-bridge")}
+    built = {}
+
+    def seq(builder):
+        if builder not in built:
+            built[builder] = builder(n)
+        return built[builder]
+
+    for suite, kernel_module, kernel in (("alexander-chebyshev", laurent, "mul_terms"),
+                                         ("homfly-bridge", bivar, "bi_mul_terms")):
+        entry = entries[suite]
+        entry.lhs(seq, n)  # the sequences, built before the spies
+        packed = _spy(monkeypatch, laurent, "compose_terms")
+        products = _spy(monkeypatch, kernel_module, kernel)
+        lhs = entry.lhs(seq, n)
+        assert len(packed) == 1 and packed[0] is not None and products == []
+        monkeypatch.undo()
+        assert lhs == entry.rhs(seq, n)
 
 
 def test_substitution_leaves_no_reference_cycles():

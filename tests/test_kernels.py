@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotpoly
-from knotpoly import LaurentPoly
+from knotpoly import BiPoly, LaurentPoly, laurent
 from knotpoly._kernels import pure
 from knotpoly.errors import NotAPerfectSquare
 
@@ -222,6 +222,61 @@ def test_product_memory_follows_the_terms_not_the_exponent_gaps(kernel, key, siz
         tracemalloc.stop()
     assert product == (naive_mul_terms if kernel is pure.mul_terms else naive_bi_mul_terms)(a, b)
     assert peak < 1 << 20
+
+
+# -- the packed composition against the split ---------------------------------
+
+# Images of 1-4 terms with negative and odd (half) numerators, or with all
+# of them negative or all positive: an all-negative image needs c·D slots
+# above the lowest key, more than D times its own span.  Sources are 1-3
+# dicts of degree up to 27, sparse or dense, with coefficients up to 2^64,
+# times (x - g_0)^j for j up to 3, g_0 the image's constant coefficient, so
+# that the constant cancels from every power of g - g_0.  A one-term source
+# on a one-term image reaches its width bound exactly.  The crossover and
+# the guards are lifted, so that every case is evaluated packed.
+_UNGUARDED = {"_COMPOSE_FROM": 0, "_COMPOSE_FILL": 1 << 64, "_COMPOSE_BYTES": 1 << 64}
+
+
+@st.composite
+def _compose_cases(draw):
+    bivariate = draw(st.booleans())
+    reach = 3 if bivariate else 6
+    nums = draw(st.sampled_from((st.integers(-reach, reach), st.integers(-reach, -1),
+                                 st.integers(1, reach))))
+    keys = st.tuples(nums, nums) if bivariate else nums
+    image = draw(st.dictionaries(keys, st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    unit = (0, 0) if bivariate else 0
+    bits = draw(st.sampled_from((3, 64)))
+    coeffs = st.integers(-(2**bits), 2**bits).filter(bool)
+    sources = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            source = draw(st.dictionaries(st.integers(0, 24), coeffs, min_size=1, max_size=6))
+        else:
+            source = dict(enumerate(draw(st.lists(coeffs, min_size=1, max_size=25))))
+        for _ in range(draw(st.integers(0, 3))):
+            source = naive_mul_terms(source, {1: 1, 0: -image.get(unit, 0)})
+        sources.append(source)
+    return sources, image
+
+
+def _split_terms(source, image):
+    """``laurent._split`` of ``source`` at ``image``, as a term dict."""
+    g = (BiPoly if type(next(iter(image))) is tuple else LaurentPoly)(image)
+    squares = [g]
+    for _ in range(max(source).bit_length() - 1):
+        squares.append(squares[-1] * squares[-1])
+    return (g * 0 + laurent._split(sorted(source.items()), squares)).terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_compose_cases())
+def test_compose_terms_matches_the_split(case):
+    sources, image = case
+    want = [_split_terms(source, image) for source in sources]
+    assert pure.compose_terms(sources, image) in (None, want)
+    with mock.patch.multiple(pure, **_UNGUARDED):
+        assert pure.compose_terms(sources, image) == want
 
 
 # -- the packed square root against the long division -------------------------
