@@ -3,15 +3,14 @@ acceptance criteria check, written out once, and the runner for a suite.
 
 A side is a function of ``(seq, n)``, where ``seq(builder)`` is
 ``builder(max_n)``, built once per run.  Sides name their builders in
-their bodies, so each call looks them up in this module's globals.  Modes:
-``exact`` compares the sides at every n from ``start`` to ``max_n``.
-``skein`` hands the sequence ``lhs`` and its coefficients ``rhs = (b1, b2)``
-(each called once, with n = max_n) to ``verify_skein``; each triple is one
-identity, the first indexed ``start``.  ``numeric`` evaluates ``lhs`` at
-every ``(label, point, want)`` sample of ``rhs`` and needs an error within
-``TOL``: absolute, or relative to ``max(1, |want|)`` for a ``relative``
-entry.  Only the trigonometric values, which have no exact algebra, use it,
-and a suite with such an entry runs only up to ``NUMERIC_MAX_N``.
+their bodies, so each call looks them up in this module's globals.  Two
+modes: ``exact`` compares the sides at every n from ``start`` to
+``max_n``; the skein triples are exact entries on the closed forms.
+``numeric`` evaluates ``lhs`` at every ``(label, point, want)`` sample of
+``rhs`` and needs an error within ``TOL``: absolute, or relative to
+``max(1, |want|)`` for a ``relative`` entry.  Only the trigonometric
+values, which have no exact algebra, use it, and a suite with such an
+entry runs only up to ``NUMERIC_MAX_N``.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import cmath
 import math
 from typing import Callable, NamedTuple
 
-from .bivar import BiPoly, RadicalExpr
+from .bivar import BiPoly
 from .chebyshev import cheb_first, cheb_first_seq, cheb_second, cheb_second_qp, cheb_second_seq
 from .invariants import (
     _HOMFLY_IMAGES,
@@ -34,7 +33,6 @@ from .invariants import (
     compose_skein,
     homfly_closed,
     homfly_rec,
-    verify_skein,
 )
 from .laurent import LaurentPoly
 from .qnumbers import qnum_closed, qnum_rec_seq, qpnum_closed, qpnum_rec_seq
@@ -54,13 +52,24 @@ _T_PLUS_INV = LaurentPoly._make("t", {2: 1, -2: 1})
 _HALF_DIFF = LaurentPoly._make("t", {1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
 _Q_PLUS_P = BiPoly._make(("q", "p"), {(2, 0): 1, (0, 2): 1})
 _QP = BiPoly._make(("q", "p"), {(2, 2): 1})
-_AZ = BiPoly._make(("a", "z"), {(2, 2): 1})
-_A_SQ = BiPoly._make(("a", "z"), {(4, 0): 1})
+# (c1, c2) composed from the HOMFLY knots' skein pair b1 = az, b2 = a^2
+_C1, _C2 = compose_skein(BiPoly._make(("a", "z"), {(2, 2): 1}),
+                         BiPoly._make(("a", "z"), {(4, 0): 1}))
 
 
 def _rx_lift(v, k):
     """r^k·v(x) for a polynomial v in x."""
     return BiPoly._make(("r", "x"), {(2 * k, e): c for e, c in v.terms.items()})
+
+
+# the closed-form members of the skein triples, built once per run through
+# ``seq``: alexander_closed(s) at entry s - 1, homfly_closed(m) at entry m
+def _unified_members(max_n):
+    return [alexander_closed(s) for s in range(1, max_n + 1)]
+
+
+def _homfly_members(max_n):
+    return [homfly_closed(m) for m in range(max_n + 1)]
 
 
 class Identity(NamedTuple):
@@ -75,7 +84,9 @@ class Identity(NamedTuple):
 
 IDENTITIES = (
     Identity("unified skein triple", "unified-skein", 3,
-             lambda seq, n: seq(alexander_unified_rec), lambda seq, n: (_HALF_DIFF, 1), "skein"),
+             lambda seq, n: seq(_unified_members)[n - 1],
+             lambda seq, n: _HALF_DIFF * seq(_unified_members)[n - 2]
+             + seq(_unified_members)[n - 3]),
     Identity("knot recurrence vs closed form", "knot-recurrence", 0,
              lambda seq, n: seq(alexander_knot_rec)[n],
              lambda seq, n: alexander_closed(2 * n + 1)),
@@ -131,8 +142,9 @@ IDENTITIES = (
              lambda seq, n: _rx_lift(seq(cheb_second_seq)[n], n)
              - _rx_lift(seq(cheb_second_seq)[n - 1], n + 1)),
     Identity("HOMFLY knot skein triple", "identity-lattice", 2,
-             lambda seq, n: seq(homfly_rec),
-             lambda seq, n: compose_skein(RadicalExpr(_AZ), _A_SQ), "skein"),
+             lambda seq, n: seq(_homfly_members)[n],
+             lambda seq, n: _C1 * seq(_homfly_members)[n - 1]
+             + _C2 * seq(_homfly_members)[n - 2]),
     Identity("first kind recurrence vs binomial form", "closed-forms", 0,
              lambda seq, n: seq(cheb_first_seq)[n], lambda seq, n: cheb_first(n)),
     Identity("second kind recurrence vs binomial form", "closed-forms", 0,
@@ -154,13 +166,6 @@ def _exact(ident, seq, max_n):
         yield n, None if ident.lhs(seq, n) == ident.rhs(seq, n) else "sides differ"
 
 
-def _skein(ident, seq, max_n):
-    if max_n >= ident.start:
-        report = verify_skein(ident.lhs(seq, max_n), *ident.rhs(seq, max_n))
-        for offset, check in enumerate(report.checks):
-            yield ident.start + offset, None if check.ok else check.detail
-
-
 def _numeric(ident, seq, max_n):
     for n in range(ident.start, max_n + 1):
         poly = ident.lhs(seq, n)
@@ -171,7 +176,7 @@ def _numeric(ident, seq, max_n):
             yield n, None if err <= TOL else f"{label} error {err:.2e}"
 
 
-_MODES = {"exact": _exact, "skein": _skein, "numeric": _numeric}
+_MODES = {"exact": _exact, "numeric": _numeric}
 
 
 def check(suite: str, max_n: int) -> None:

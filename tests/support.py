@@ -156,13 +156,23 @@ def naive_render(poly, ascending=True):
 
 def fraction_sum(poly, point):
     """The value of an integer-exponent ``poly`` at a real ``point``, a
-    number for a LaurentPoly and a pair for a BiPoly: each term in
-    Fraction, the sum rounded once."""
+    number for a LaurentPoly and a pair for a BiPoly, rounded once from the
+    exact sum.  A float coordinate is m/d with d a power of two: over the
+    denominator d^H·m^M, with H and M the largest positive and negative
+    exponents of its variable, the term c·x^k has the integer numerator
+    c·m^(k+M)·d^(H-k), so the sum is one int over one int."""
     if isinstance(poly, LaurentPoly):
-        x = Fraction(complex(point).real)
-        return complex(sum(c * x ** (num // 2) for num, c in poly.terms.items()))
-    x, y = (Fraction(complex(v).real) for v in point)
-    return complex(sum(c * x ** (na // 2) * y ** (nb // 2) for (na, nb), c in poly.terms.items()))
+        point, terms = (point,), [((num,), c) for num, c in poly.terms.items()]
+    else:
+        terms = poly.terms.items()
+    numerators, bottom = [c for _, c in terms], 1
+    for i, (m, d) in enumerate([complex(v).real.as_integer_ratio() for v in point]):
+        ks = [key[i] // 2 for key, _ in terms]
+        high, low = max([0, *ks]), -min([0, *ks])
+        numerators = [c * m ** (k + low) * d ** (high - k) for c, k in zip(numerators, ks)]
+        bottom *= d**high * m**low
+    top = sum(numerators)
+    return complex(top / bottom if bottom > 0 else -top / -bottom)
 
 
 def cheb_second_closed(n):

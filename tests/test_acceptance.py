@@ -2,9 +2,11 @@
 
 The identities of criteria 2-6 are registry runs: one parametrised row
 per suite, and the identity-lattice suite split over criteria 2, 3 and
-5.  Every criterion test prints a single PASS line when it completes
-(visible with ``pytest -s``).  A failing criterion shows up as the test
-failure itself.
+5.  Every registry entry is an exact identity, the skein triples on the
+closed forms included, except the float-sampled trigonometric values,
+and each one has a negative control.  Every criterion test prints a
+single PASS line when it completes (visible with ``pytest -s``).  A
+failing criterion shows up as the test failure itself.
 """
 
 from fractions import Fraction
@@ -14,12 +16,15 @@ from hypothesis import given, settings
 
 from knotpoly import (
     BiPoly,
+    LaurentPoly,
     RadicalExpr,
     alexander_closed,
     compose_skein,
     derive_skein,
+    homfly_closed,
     homfly_from_alexander,
     homfly_rec,
+    verify_skein,
 )
 from knotpoly import identities
 from knotpoly.cli import run
@@ -150,26 +155,27 @@ def test_criterion_3_identity_lattice(monkeypatch):
 
 
 def test_criterion_5_skein_verification(monkeypatch):
+    a, z = BiPoly.gens(("a", "z"))
+    homfly = verify_skein([homfly_closed(m) for m in range(201)], *compose_skein(a * z, a**2))
+    assert homfly.all_ok and len(homfly.checks) == 199
+    half_diff = LaurentPoly({1: 1, -1: -1})
+    unified = verify_skein([alexander_closed(s) for s in range(1, 201)], half_diff, 1)
+    assert unified.all_ok and len(unified.checks) == 198
     assert _run_lattice_criterion(monkeypatch, 5) == (199, 199, [])
     print("criterion 5 (skein verification): PASS")
 
 
 def _perturbation(ident):
     """The side to break and how: rhs + 1 at ``start + 1`` for an exact
-    entry, b2 + 1 for a skein entry, lhs + 1 at ``start + 1`` for a
-    numeric one."""
-    if ident.mode == "skein":
-        return "rhs", lambda side, n: (side[0], side[1] + 1)
+    entry, lhs + 1 at ``start + 1`` for a numeric one."""
     at = ident.start + 1
     return "rhs" if ident.mode == "exact" else "lhs", lambda side, n: side + int(n == at)
 
 
-# negative controls: every entry reports its own failure, by name and,
-# outside the skein mode, by index; the first two rows also pin the
-# failure line of the skein and numeric modes (test_cli pins exact)
+# negative controls: every entry reports its own failure, by name and
+# index; the first row also pins the failure line of the numeric mode
+# (test_cli pins exact)
 @pytest.mark.parametrize("name, field, perturb, failure", [
-    ("unified skein triple", "rhs", lambda side, n: (side[0], 2),
-     "unified skein triple n=3: residue -1"),
     ("q-number", "lhs", lambda side, n: side + int(n == 2), "q-number n=2: theta=0.3 error 1.00e+00"),
     *(pytest.param(ident.name, *_perturbation(ident), None, id=ident.name)
       for ident in identities.IDENTITIES),
@@ -180,10 +186,27 @@ def test_registry_catches_a_perturbed_side(monkeypatch, name, field, perturb, fa
     broken = ident._replace(**{field: lambda seq, n: perturb(side(seq, n), n)})
     monkeypatch.setattr(identities, "IDENTITIES", (broken,))
     passed, total, failures = identities.run(ident.suite, 4)
-    index = "" if ident.mode == "skein" else f"{ident.start + 1}: "
     assert passed < total
-    assert all(line.startswith(f"{name} n={index}") for line in failures)
+    assert all(line.startswith(f"{name} n={ident.start + 1}: ") for line in failures)
     assert failure is None or failures[0] == failure
+
+
+# negative controls on the paper's claim: the skein triples compare the
+# closed forms, so one member off by one fails exactly the triples through
+# it, n = k, k + 1 and k + 2 from the entry's start on
+@pytest.mark.parametrize("builder, name", [
+    ("alexander_closed", "unified skein triple"),
+    ("homfly_closed", "HOMFLY knot skein triple"),
+])
+@pytest.mark.parametrize("k", [1, 2, 5, 10])
+def test_skein_triples_catch_a_perturbed_closed_form(monkeypatch, builder, name, k):
+    ident = next(i for i in identities.IDENTITIES if i.name == name)
+    closed = getattr(identities, builder)
+    monkeypatch.setattr(identities, builder, lambda index: closed(index) + int(index == k))
+    passed, total, failures = identities.run(ident.suite, 10)
+    at = [n for n in (k, k + 1, k + 2) if ident.start <= n <= 10]
+    assert failures == [f"{name} n={n}: sides differ" for n in at]
+    assert passed == total - len(at)
 
 
 def test_criterion_4_homfly_bridge_and_skein_pairs():
