@@ -2,12 +2,14 @@
 polynomials, derive skein coefficients and run the verification suites.
 
 Exit status: 0 on success, 1 when a verify suite reports failures, 2 on
-usage errors.
+usage errors, among them an index whose request is estimated past
+``MAX_DIGITS``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -156,8 +158,16 @@ def _cmd_table(args):
 # -- parser -----------------------------------------------------------------
 
 
-def _int_at_least(lower):
-    """An argparse type: an integer no smaller than ``lower``."""
+# The largest request accepted, as an estimate of the coefficient digits it
+# builds: a member of index n has at most about n terms of at most about n
+# digits, n^2 in all, and a table or a verify sweep to n builds n members,
+# n^3.  10^12 = (10^6)^2 = (10^4)^3, so those are the largest indices.
+MAX_DIGITS = 10**12
+
+
+def _index(lower, power):
+    """An argparse type: an integer n no smaller than ``lower`` whose request,
+    estimated at n^``power`` digits, is at most ``MAX_DIGITS``."""
 
     def parse(text):
         try:
@@ -168,6 +178,9 @@ def _int_at_least(lower):
             raise argparse.ArgumentTypeError(
                 "value must be nonnegative" if lower == 0 else f"value must be at least {lower}"
             )
+        if value ** power > MAX_DIGITS:
+            raise argparse.ArgumentTypeError(
+                f"value must be at most {round(MAX_DIGITS ** (1 / power))}")
         return value
 
     return parse
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[fmt], help=text)
         if name == "chebyshev":
             p.add_argument("--kind", choices=("first", "second"), required=True)
-        p.add_argument(f"--{option}", type=_int_at_least(least), required=True, help=option_help)
+        p.add_argument(f"--{option}", type=_index(least, 2), required=True, help=option_help)
         p.set_defaults(func=_cmd_member)
 
     p = sub.add_parser(
@@ -201,21 +214,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt], help="run an identity suite")
     p.add_argument("suite", choices=identities.SUITES)
-    p.add_argument("--max-n", type=_int_at_least(1), default=50, dest="max_n")
+    p.add_argument("--max-n", type=_index(1, 3), default=50, dest="max_n")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("table", parents=[fmt], help="print a family table")
     p.add_argument("family", choices=tuple(_TABLE_FAMILIES))
-    p.add_argument("--max", type=_int_at_least(0), required=True)
+    p.add_argument("--max", type=_index(0, 3), required=True)
     p.set_defaults(func=_cmd_table)
 
     return parser
 
 
+# run() may be called any number of times in one process and builds its
+# parser on the first call: the parser is a pure function of this module's
+# tables, and building it costs more than most commands.  build_parser()
+# returns a new parser on each call.  The _cmd_* handlers are bound into the
+# cached parser once; the builders they call are still looked up per call.
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     # a printed coefficient can be longer than the interpreter's int-to-str

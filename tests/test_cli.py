@@ -310,12 +310,108 @@ USAGE = {
 }
 
 
-@pytest.mark.parametrize("command", list(USAGE), ids=lambda c: c or "knotpoly")
-def test_usage_line(capsys, monkeypatch, command):
+# the last row builds the parser that run() keeps under a narrow terminal,
+# where the table usage wraps, and widens the terminal before asking for help
+@pytest.mark.parametrize("command, built_narrow", [
+    *[pytest.param(command, False, id=command or "knotpoly") for command in USAGE],
+    pytest.param("table", True, id="table-built-narrow"),
+])
+def test_usage_line(capsys, monkeypatch, command, built_narrow):
+    if built_narrow:
+        cli._parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "40")
+        assert run_cli(capsys, "qnum", "--n", "1") == (0, "1\n", "")
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0 and out.splitlines()[0] != USAGE[command]
     monkeypatch.setenv("COLUMNS", "1000")
     code, out, _ = run_cli(capsys, *filter(None, [command]), "--help")
     assert code == 0
     assert out.splitlines()[0] == USAGE[command]
+
+
+# one process's run() calls, each argv in JSON and then without --format,
+# over every command, a usage error, a help page and two refusals
+REUSED = [
+    argv + fmt
+    for argv in [
+        *(param.values[0] for param in SURFACE),
+        *(["skein-derive", "--family", family] for family in cli._SKEIN_FAMILIES),
+        *(["verify", suite, "--max-n", "3"] for suite in identities.SUITES),
+        ["verify", "trig", "--max-n", "5000"],
+        ["alexander", "--s", "0"],
+        ["table", "qnum", "--max", "10001"],
+        ["verify", "--help"],
+    ]
+    for fmt in (["--format", "json"], [])
+]
+
+
+def test_reused_parser_gives_what_a_fresh_one_gives(capsys, monkeypatch):
+    build = cli.build_parser
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in REUSED]
+    assert len(builds) == 1
+    fresh = []
+    for argv in REUSED:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    # the JSON call does not leave its format to the next one
+    assert reused[REUSED.index(["qnum", "--n", "3"])] == (0, "q^2 + 1 + q^(-2)\n", "")
+
+
+# each index option past its cap, with the largest index it accepts
+TOO_LARGE = [
+    *([name, *(["--kind", "first"] if name == "chebyshev" else []), f"--{option}"]
+      for name, (_, option, *_) in cli._MEMBER_COMMANDS.items()),
+    *(["table", family, "--max"] for family in cli._TABLE_FAMILIES),
+    *(["verify", suite, "--max-n"] for suite in identities.SUITES),
+]
+BUILDERS = ["alexander_closed", "homfly_closed", "qnum_closed", "qpnum_closed", "cheb_first",
+            "cheb_second", "cheb_first_seq", "cheb_second_seq", "alexander_unified_rec",
+            "homfly_rec"]
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE, ids=" ".join)
+def test_refuses_an_index_past_the_cost_cap(capsys, monkeypatch, argv):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        raise AssertionError("a builder ran")
+
+    for name in BUILDERS:
+        monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(identities, "check", spy)
+    monkeypatch.setattr(identities, "run", spy)
+    largest = 10**6 if argv[0] in cli._MEMBER_COMMANDS else 10**4
+    code, out, err = run_cli(capsys, *argv, str(largest + 1))
+    assert (code, out, calls) == (2, "", [])
+    assert err.endswith(f"error: argument {argv[-1]}: value must be at most {largest}\n")
+    args = cli.build_parser().parse_args([*argv, str(largest)])
+    assert vars(args)[argv[-1][2:].replace("-", "_")] == largest
+
+
+# the largest requests that CI, the benchmark's op lists and the tests make
+@pytest.mark.parametrize("argv", [
+    ["chebyshev", "--kind", "second", "--n", "21000"],
+    ["alexander", "--s", "2000"],
+    ["homfly", "--m", "200"],
+    ["qnum", "--n", "1000"],
+    ["table", "alexander-knots", "--max", "1000"],
+    ["verify", "unified-skein", "--max-n", "1000"],
+    ["verify", "closed-forms", "--max-n", "500"],
+    ["verify", "trig", "--max-n", "5000"],
+], ids=" ".join)
+def test_accepts_every_index_in_use(argv):
+    cli.build_parser().parse_args(argv)
 
 
 def test_module_entry_point():
