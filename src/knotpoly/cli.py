@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import identities
@@ -165,15 +166,29 @@ def _cmd_table(args):
 MAX_DIGITS = 10**12
 
 
+# an integer in ASCII digits, as int() reads one: its sign and its digits
+_INTEGER = re.compile(r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*")
+
+
 def _index(lower, power):
     """An argparse type: an integer n no smaller than ``lower`` whose request,
-    estimated at n^``power`` digits, is at most ``MAX_DIGITS``."""
+    estimated at n^``power`` digits, is at most ``MAX_DIGITS``.  Text that is
+    no integer is echoed cut to 40 characters."""
 
     def parse(text):
         try:
             value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+            match = _INTEGER.fullmatch(text)
+            if match is None:
+                shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+                raise argparse.ArgumentTypeError(f"{shown} is not an integer") from None
+            # an integer past the interpreter's int-from-str digit limit, which
+            # counts leading zeros: with 20 digits or more it is past every cap
+            digits = match[2].replace("_", "").lstrip("0")
+            value = int(digits or 0) if len(digits) < 20 else MAX_DIGITS
+            if match[1] == "-":
+                value = -value
         if value < lower:
             raise argparse.ArgumentTypeError(
                 "value must be nonnegative" if lower == 0 else f"value must be at least {lower}"

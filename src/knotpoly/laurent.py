@@ -107,11 +107,12 @@ def _pow_str(variable: str, num: int) -> str:
     return f"{variable}^({num}/2)"
 
 
-def _substitute(source, images):
-    """``sum(c * prod(images[i] ** k[i]))`` over the items ``(k, c)`` of
-    ``source``, whose keys are tuples of nonnegative int degrees, one per
-    image.  The result lies in the images' common ring, with the variable
-    names of the first polynomial image.
+def _substitute(terms, images):
+    """``sum(c * prod(images[i] ** k[i]))`` over the terms ``c X^k`` of
+    ``terms``, keyed by exponent numerators (an int or a pair), one image per
+    variable; a negative or half exponent raises NonIntegralOuter.  The
+    result lies in the images' common ring, with the variable names of the
+    first polynomial image.
 
     An image that is a monomial ``c X^e`` of that ring is an exponent remap,
     sending degree k to key k·e with coefficient c^k, so with every image a
@@ -135,6 +136,14 @@ def _substitute(source, images):
     by g are what the packed multiplication kernel serves.  A bool image
     raises TypeError, as a bool operand of the ring operators does.
     """
+    # the terms keyed by their tuples of degrees, less any with a negative or half exponent
+    if type(next(iter(terms), 0)) is int:
+        source = {(n >> 1,): c for n, c in terms.items() if n >= 0 and not n & 1}
+    else:
+        source = {(a >> 1, b >> 1): c for (a, b), c in terms.items()
+                  if a >= 0 <= b and not (a | b) & 1}
+    if len(source) < len(terms):
+        raise NonIntegralOuter("a substituted polynomial must have nonnegative integer exponents")
     if any(isinstance(img, bool) for img in images):
         raise TypeError("cannot substitute a bool: it is not a ring value")
     zero = images[0] * 0
@@ -270,7 +279,10 @@ def _evaluate(terms, points) -> complex:
     not complex pow's exp/log from exponent 100; a base i·r on the
     imaginary axis, a negative real's root or an imaginary coordinate with
     integer exponents, is raised as a power of i times float pow of r
-    (``_ImaginaryRoot``)."""
+    (``_ImaginaryRoot``).  A value past the float range raises OverflowError
+    on every path: from the int division, from a float or complex power, or
+    from the one check of the float sum, which an overflowing product can
+    leave at inf or nan."""
     zs = []
     for value in points:
         if isinstance(value, (str, bytes, bytearray, bool)):
@@ -299,10 +311,12 @@ def _evaluate(terms, points) -> complex:
             ((base, step),) = bases
             for num, coeff in terms.items():
                 total += coeff * base ** (num // step)
-            return total
-        (wa, sa), (wb, sb) = bases
-        for (na, nb), coeff in terms.items():
-            total += coeff * wa ** (na // sa) * wb ** (nb // sb)
+        else:
+            (wa, sa), (wb, sb) = bases
+            for (na, nb), coeff in terms.items():
+                total += coeff * wa ** (na // sa) * wb ** (nb // sb)
+        if not cmath.isfinite(total):  # a term past the float range, or inf - inf
+            raise OverflowError("the value is past the float range")
         return total
     if len(dyadic) == 1:
         top = _dyadic_horner(terms, *dyadic[0])
@@ -345,8 +359,8 @@ def _dyadic_horner(values, m, e, lo, hi):
 
 class _TermPoly:
     """What ``LaurentPoly`` and ``BiPoly`` share: a canonical ``terms``
-    dict (no zero coefficient) keyed by exponent numerators, the variable
-    names in ``_names``, and the constructors, JSON reading and ``repr``.
+    dict (no zero coefficient) keyed by exponent numerators, the names in
+    ``_names``, the constructors, every ring operator but ``*``, JSON and ``repr``.
     A subclass declares its arity as class attributes: ``_UNIT`` (the
     constant term's key), ``_NAMES_FIELD`` and ``_KEY_FIELDS`` (the JSON
     fields of its names and of a key) and ``_DEFAULT_NAMES``.
@@ -435,14 +449,34 @@ class _TermPoly:
             return NotImplemented
         return self._like(kernel(self.terms, other_terms))
 
-    def _power(self, k):
+    # -- ring structure ----------------------------------------------
+    # Every operator but ``*``, whose kernel depends on the arity.
+
+    def __add__(self, other):
+        return self._combine(other, add_terms)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(other, sub_terms)
+
+    def __rsub__(self, other):
+        return self._combine(other, lambda a, b: sub_terms(b, a))
+
+    def __neg__(self):
+        return self._like(neg_terms(self.terms))
+
+    def __pow__(self, k):
         """``self ** k``, x^k with ``self`` substituted by ``_substitute``,
         whose squares and split it shares; NotImplemented unless k is an int."""
         if type(k) is not int:
             return NotImplemented
         if k < 0:
             raise ValueError("exponent must be nonnegative")
-        return _substitute({(k,): 1}, (self,))
+        return _substitute({2 * k: 1}, (self,))
+
+    def to_json_dict(self) -> dict:
+        return json.loads(self._json_text())
 
     def _render(self, style: str, descending: bool, body) -> str:
         """``render`` for either arity: the JSON form, or the terms in key
@@ -558,22 +592,14 @@ class LaurentPoly(_TermPoly):
         return cls._make(_check_names(variable, 1), {num: coeff} if coeff else {})
 
     # -- ring structure ----------------------------------------------
-    # Each class defines its own operators (``perfbench/spans.py`` wraps
-    # them in the class ``__dict__``); the operand rule is ``_combine``.
 
-    def __add__(self, other):
-        return self._combine(other, add_terms)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, sub_terms)
-
-    def __rsub__(self, other):
-        return self._combine(other, lambda a, b: sub_terms(b, a))
-
-    def __neg__(self):
-        return self._like(neg_terms(self.terms))
+    # named here as well, as ``perfbench/spans.py`` wraps the class __dict__
+    __add__ = __radd__ = _TermPoly.__add__
+    __sub__ = _TermPoly.__sub__
+    __rsub__ = _TermPoly.__rsub__
+    __neg__ = _TermPoly.__neg__
+    __pow__ = _TermPoly.__pow__
+    to_json_dict = _TermPoly.to_json_dict
 
     def __mul__(self, other):
         if type(other) is int:
@@ -581,9 +607,6 @@ class LaurentPoly(_TermPoly):
         return self._combine(other, mul_terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k):
-        return self._power(k)
 
     # -- queries -----------------------------------------------------
 
@@ -620,14 +643,7 @@ class LaurentPoly(_TermPoly):
         otherwise.  ``inner`` may be any value supporting ring
         arithmetic with ints; the result has inner's type.
         """
-        source = {}
-        for num, coeff in self.terms.items():
-            if num < 0 or num % 2:
-                raise NonIntegralOuter(
-                    "composition source must have nonnegative integer exponents"
-                )
-            source[(num // 2,)] = coeff
-        return _substitute(source, (inner,))
+        return _substitute(self.terms, (inner,))
 
     def sqrt_perfect(self) -> "LaurentPoly":
         """Exact square root, normalised to a positive leading coefficient.
@@ -646,9 +662,6 @@ class LaurentPoly(_TermPoly):
         return _evaluate(self.terms, (value,))
 
     # -- rendering ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return json.loads(self._json_text())
 
     def _json_text(self) -> str:
         # the canonical JSON form, as ``json.dumps`` spaces it, written from

@@ -461,6 +461,26 @@ def test_eval_complex_refuses_an_infinite_coordinate(evaluate):
         evaluate()
 
 
+# a finite point whose value lies past the float range raises OverflowError
+# on every path too: not inf or nan from an overflowing complex product
+@pytest.mark.parametrize("evaluate", [
+    pytest.param(lambda: LaurentPoly({200: 1}).eval_complex(1e300), id="laurent-exact-real"),
+    pytest.param(lambda: LaurentPoly({200: 1}).eval_complex(1e300j), id="laurent-imaginary-axis"),
+    pytest.param(lambda: LaurentPoly({201: 1}).eval_complex(1e300), id="laurent-half-exponent"),
+    pytest.param(lambda: LaurentPoly({200: 1}).eval_complex(complex(1e300, 1)),
+                 id="laurent-complex-nan"),
+    pytest.param(lambda: LaurentPoly({2: 2}).eval_complex(complex(1.7e308, 1)),
+                 id="laurent-complex-inf"),
+    pytest.param(lambda: BiPoly({(200, 0): 1}).eval_complex((complex(1e300, 1), 1)),
+                 id="bivar-complex"),
+    pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), BiPoly({(0, 2): 1, (0, 0): -2}))
+                 .eval_complex((1e300, 1e300)), id="radical-product"),
+])
+def test_eval_complex_refuses_a_value_past_the_float_range(evaluate):
+    with pytest.raises(OverflowError):
+        evaluate()
+
+
 # a str, bytes or bool is no point, on every path: not a number that
 # ``complex`` parses, nor a pair of coordinates spelt by its characters
 @pytest.mark.parametrize("evaluate", [

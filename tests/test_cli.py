@@ -399,6 +399,27 @@ def test_refuses_an_index_past_the_cost_cap(capsys, monkeypatch, argv):
     assert vars(args)[argv[-1][2:].replace("-", "_")] == largest
 
 
+# an index too long for int(), past the interpreter's int-from-str digit
+# limit, is refused by the bound its sign breaks, and malformed text is
+# echoed cut short: each refusal is two short lines, not the whole argument
+@pytest.mark.parametrize("argv, past, below", [
+    (["alexander", "--s"], "at most 1000000", "at least 1"),
+    (["table", "homfly", "--max"], "at most 10000", "nonnegative"),
+    (["verify", "trig", "--max-n"], "at most 10000", "at least 1"),
+], ids=["member", "table", "verify"])
+def test_refuses_an_index_too_long_to_parse(capsys, argv, past, below):
+    for text, refusal in [("9" * 5000, f"value must be {past}"),
+                          ("-" + "9" * 5000, f"value must be {below}"),
+                          ("9" * 5000 + "x", f"{'9' * 40!r}... is not an integer")]:
+        code, out, err = run_cli(capsys, *argv, text)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {argv[-1]}: {refusal}\n")
+        assert len(err.encode()) < 400
+    # leading zeros count towards the limit, but not towards the value
+    args = cli.build_parser().parse_args([*argv, "0" * 5000 + "7"])
+    assert vars(args)[argv[-1][2:].replace("-", "_")] == 7
+
+
 # the largest requests that CI, the benchmark's op lists and the tests make
 @pytest.mark.parametrize("argv", [
     ["chebyshev", "--kind", "second", "--n", "21000"],

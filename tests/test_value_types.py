@@ -35,6 +35,7 @@ from knotpoly import (
     qpnum_rec_seq,
 )
 from knotpoly import bivar, chebyshev, invariants, laurent, qnumbers
+from knotpoly.errors import NonIntegralOuter
 
 from support import bi_polys, coefficients, laurent_polys, naive_render, wide_coefficients
 
@@ -243,6 +244,41 @@ def test_foreign_operand_is_refused(poly, other, op):
         op(poly, other)
     with pytest.raises(TypeError):
         op(other, poly)
+
+
+# the names perfbench/spans.py wraps in each class's own __dict__, written
+# out: its RING_METHODS for both polynomial types, and its CLASS_SPANS
+_RING_METHODS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__",
+                 "__neg__")
+_SPAN_SITES = [
+    (LaurentPoly, (*_RING_METHODS, "render", "to_json_dict", "compose", "eval_complex",
+                   "sqrt_perfect")),
+    (BiPoly, (*_RING_METHODS, "render", "to_json_dict", "substitute", "eval_complex", "sqrt")),
+    (RadicalExpr, ("render", "to_json_dict", "eval_complex")),
+]
+
+
+def test_both_polynomial_types_share_one_core():
+    # one function serves both types, and each class still names it in its
+    # own body, where the traced benchmark pass wraps it
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__pow__",
+                 "to_json_dict"):
+        assert getattr(LaurentPoly, name) is getattr(BiPoly, name), name
+    for cls, names in _SPAN_SITES:
+        assert [n for n in names if n not in vars(cls)] == [], cls.__name__
+
+
+# compose, substitute and ** read their source's exponents in one place
+@pytest.mark.parametrize("op", [
+    pytest.param(lambda: LaurentPoly({-2: 1}).compose(LaurentPoly.gen()), id="compose-negative"),
+    pytest.param(lambda: LaurentPoly({1: 1}).compose(LaurentPoly.gen()), id="compose-half"),
+    pytest.param(lambda: BiPoly({(0, -2): 1}).substitute(1, 1), id="substitute-negative"),
+    pytest.param(lambda: BiPoly({(3, 0): 1}).substitute(1, 1), id="substitute-half"),
+])
+def test_a_negative_or_half_source_exponent_has_one_message(op):
+    with pytest.raises(NonIntegralOuter) as info:
+        op()
+    assert str(info.value) == "a substituted polynomial must have nonnegative integer exponents"
 
 
 _NOT_A_NAME = '"variable" is not a string'
