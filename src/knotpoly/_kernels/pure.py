@@ -278,13 +278,7 @@ def compose_terms(sources, image):
     if slots > _COMPOSE_FILL * comb(top + len(image) - 1, len(image) - 1):
         return None
     norm = sum(map(abs, image.values()))
-    bound = 0
-    for row in rows:
-        acc, prev = 0, top
-        for d, c in reversed(row):
-            acc = acc * norm ** (prev - d) + abs(c)
-            prev = d
-        bound = max(bound, acc * norm ** prev)
+    bound = max(_horner(((d, abs(c)) for d, c in reversed(row)), norm, 0, top) for row in rows)
     width = bound.bit_length() // 8 + 1
     if slots * width > _COMPOSE_BYTES:
         return None
@@ -309,11 +303,7 @@ def _compose_split(items, squares, shift):
     node's degree, and a Horner on ints below degree ``_COMPOSE_LEAF``."""
     top = items[-1][0]
     if top < _COMPOSE_LEAF:
-        acc, prev = 0, top
-        for d, v in reversed(items):
-            acc = acc * squares[0] ** (prev - d) + (v << shift * (top - d))
-            prev = d
-        return acc * squares[0] ** prev
+        return _horner(reversed(items), squares[0], shift, top)
     i = top.bit_length() - 1
     m = 1 << i
     cut = bisect_left(items, (m,))
@@ -321,6 +311,17 @@ def _compose_split(items, squares, shift):
     if not cut:
         return high
     return high + (_compose_split(items[:cut], squares, shift) << shift * (top - items[cut - 1][0]))
+
+
+def _horner(pairs, base, shift, top):
+    """sum(v·base^d·2^(shift·(top - d))) over the pairs (d, v) of ``pairs``, in
+    descending order of d, by Horner's rule on ints: the one loop of the exact
+    evaluator, the composition's width bound and its split's leaves."""
+    acc, prev = 0, top
+    for d, v in pairs:
+        acc = acc * base ** (prev - d) + (v << shift * (top - d))
+        prev = d
+    return acc * base ** prev
 
 
 def sqrt_terms(terms):

@@ -166,8 +166,9 @@ def _cmd_table(args):
 MAX_DIGITS = 10**12
 
 
-# an integer in ASCII digits, as int() reads one: its sign and its digits
-_INTEGER = re.compile(r"\s*([+-]?)([0-9]+(?:_[0-9]+)*)\s*")
+# an integer as int() reads one: its sign and its digits, in any script, with
+# the whitespace int() strips (Unicode whitespace but the separators \x1c-\x1f)
+_INTEGER = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 
 
 def _index(lower, power):
@@ -176,19 +177,17 @@ def _index(lower, power):
     no integer is echoed cut to 40 characters."""
 
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            match = _INTEGER.fullmatch(text)
-            if match is None:
-                shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
-                raise argparse.ArgumentTypeError(f"{shown} is not an integer") from None
-            # an integer past the interpreter's int-from-str digit limit, which
-            # counts leading zeros: with 20 digits or more it is past every cap
-            digits = match[2].replace("_", "").lstrip("0")
-            value = int(digits or 0) if len(digits) < 20 else MAX_DIGITS
-            if match[1] == "-":
-                value = -value
+        match = _INTEGER.fullmatch(text)
+        if match is None:
+            shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
+            raise argparse.ArgumentTypeError(f"{shown} is not an integer")
+        # with 20 significant digits or more an index is past every cap, so
+        # int() reads at most 19 and never meets the interpreter's
+        # int-from-str digit limit, which counts leading zeros
+        digits = match[2].replace("_", "")
+        value = MAX_DIGITS if any(map(int, digits[:-19])) else int(digits[-19:])
+        if match[1] == "-":
+            value = -value
         if value < lower:
             raise argparse.ArgumentTypeError(
                 "value must be nonnegative" if lower == 0 else f"value must be at least {lower}"

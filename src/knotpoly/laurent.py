@@ -19,9 +19,11 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
+from math import ldexp
 
 from ._kernels import (add_terms, compose_terms, mul_terms, neg_terms, scale_terms, sqrt_terms,
                        sub_terms)
+from ._kernels.pure import _horner
 from .errors import NonIntegralOuter, NotAPerfectSquare, ZeroBase
 
 __all__ = ["LaurentPoly"]
@@ -271,18 +273,18 @@ def _evaluate(terms, points) -> complex:
     OverflowError (as ``Fraction`` does) and a zero one ZeroBase if its
     variable has a negative exponent.  At real coordinates with integer
     exponents the sum is exact, rounded once: each coordinate is m/2^e, so
-    a Horner on ints over each variable's full exponent range (for two, one
-    per row, then one over the rows) and one int division give it.
+    ``_horner`` over each variable's full exponent range (for two, one per
+    row, then one over the rows) and one int division give it.
     Elsewhere each term is summed in complex floats, a half exponent taking
     the principal square root of its coordinate and a real coordinate with
     integer exponents staying a float, so that its powers are float pow,
     not complex pow's exp/log from exponent 100; a base i·r on the
     imaginary axis, a negative real's root or an imaginary coordinate with
     integer exponents, is raised as a power of i times float pow of r
-    (``_ImaginaryRoot``).  A value past the float range raises OverflowError
-    on every path: from the int division, from a float or complex power, or
-    from the one check of the float sum, which an overflowing product can
-    leave at inf or nan."""
+    (``_ImaginaryRoot``); a sum that overflows, as a coefficient past the
+    float range does, is recomputed by ``_scaled_sum``.  A value past the
+    float range raises one OverflowError on every path, for the int
+    division, a float or complex power, or a float sum left at inf or nan."""
     zs = []
     for value in points:
         if isinstance(value, (str, bytes, bytearray, bool)):
@@ -305,32 +307,55 @@ def _evaluate(terms, points) -> complex:
         if not (half or z.imag):
             m, d = z.real.as_integer_ratio()
             dyadic.append((m, d.bit_length() - 1, lo >> 1, hi >> 1))
-    if len(dyadic) < len(zs):
+    try:
+        if len(dyadic) == len(zs):
+            (m, e, lo, hi), *rest = dyadic
+            if rest:  # one Horner along each row of the first exponent, then one over the rows
+                ((mb, eb, lob, hib),) = rest
+                rows = {}
+                for (na, nb), c in terms.items():
+                    rows.setdefault(na, {})[nb] = c
+                terms = {na: _horner((((b >> 1) - lob, row[b]) for b in sorted(row, reverse=True)),
+                                     mb, eb, hib - lob) for na, row in rows.items()}
+            top = _horner((((k >> 1) - lo, terms[k]) for k in sorted(terms, reverse=True)),
+                          m, e, hi - lo)
+            bottom = 1  # the sum is top / bottom: top carries m^lo or 2^-(e·hi) if an int
+            for m, e, lo, hi in dyadic:
+                top, bottom = (top * m**lo, bottom) if lo >= 0 else (top, bottom * m**-lo)
+                top, bottom = (top, bottom << e * hi) if hi >= 0 else (top << -e * hi, bottom)
+            return complex(top / bottom) if top else 0j  # 0 / a negative divisor would be -0.0
         total = 0j
-        if len(bases) == 1:
-            ((base, step),) = bases
-            for num, coeff in terms.items():
-                total += coeff * base ** (num // step)
-        else:
-            (wa, sa), (wb, sb) = bases
-            for (na, nb), coeff in terms.items():
-                total += coeff * wa ** (na // sa) * wb ** (nb // sb)
-        if not cmath.isfinite(total):  # a term past the float range, or inf - inf
-            raise OverflowError("the value is past the float range")
-        return total
-    if len(dyadic) == 1:
-        top = _dyadic_horner(terms, *dyadic[0])
-    else:
-        rows = {}
-        for (na, nb), c in terms.items():
-            rows.setdefault(na, {})[nb] = c
-        top = _dyadic_horner({na: _dyadic_horner(row, *dyadic[1]) for na, row in rows.items()},
-                             *dyadic[0])
-    bottom = 1  # the sum is top / bottom: top carries m^lo or 2^-(e·hi) when that is an int
-    for m, e, lo, hi in dyadic:
-        top, bottom = (top * m**lo, bottom) if lo >= 0 else (top, bottom * m**-lo)
-        top, bottom = (top, bottom << e * hi) if hi >= 0 else (top << -e * hi, bottom)
-    return complex(top / bottom) if top else 0j  # 0 / a negative divisor would be -0.0
+        try:
+            if len(bases) == 1:
+                ((base, step),) = bases
+                for num, coeff in terms.items():
+                    total += coeff * base ** (num // step)
+            else:
+                (wa, sa), (wb, sb) = bases
+                for (na, nb), coeff in terms.items():
+                    total += coeff * wa ** (na // sa) * wb ** (nb // sb)
+        except OverflowError:  # a coefficient past the float range, or a power
+            total = _scaled_sum(terms, bases)
+        if cmath.isfinite(total):  # else a product past the float range, or inf - inf
+            return total
+    except OverflowError:  # from a power, a scaled term or the int division
+        pass
+    raise OverflowError("the value is past the float range")
+
+
+def _scaled_sum(terms, bases):
+    """``_evaluate``'s float sum with each coefficient written as m·2^s, m
+    below 2^64 and rounded once, and m times the term's power scaled by 2^s:
+    a coefficient past the float range whose term is not is summed, and a
+    term past the range raises OverflowError."""
+    total = 0j
+    for key, coeff in terms.items():
+        s = max(coeff.bit_length() - 64, 0)
+        value = coeff / (1 << s)
+        for k, (base, step) in zip((key,) if type(key) is int else key, bases):
+            value *= base ** (k // step)
+        total += complex(ldexp(value.real, s), ldexp(value.imag, s))
+    return total
 
 
 class _ImaginaryRoot:
@@ -344,17 +369,6 @@ class _ImaginaryRoot:
 
     def __pow__(self, k):
         return (1, 1j, -1, -1j)[k % 4] * self.r ** k
-
-
-def _dyadic_horner(values, m, e, lo, hi):
-    """sum(v·m^(k - lo)·2^(e·(hi - k))) over the items (2k, v) of the int
-    dict ``values``, by Horner over the whole range k = lo..hi."""
-    acc, prev = 0, hi
-    for num in sorted(values, reverse=True):
-        k = num >> 1
-        acc = acc * m ** (prev - k) + (values[num] << e * (hi - k))
-        prev = k
-    return acc * m ** (prev - lo)
 
 
 class _TermPoly:

@@ -4,6 +4,7 @@ exact Fraction sum, the recurrence-built families against the binomial
 closed form of the Chebyshev polynomials, and the square roots' memory
 against their term counts."""
 
+import cmath
 import gc
 import math
 import tracemalloc
@@ -462,7 +463,9 @@ def test_eval_complex_refuses_an_infinite_coordinate(evaluate):
 
 
 # a finite point whose value lies past the float range raises OverflowError
-# on every path too: not inf or nan from an overflowing complex product
+# on every path too, with one message: not inf or nan from an overflowing
+# complex product, nor the int division's, float pow's or complex pow's own
+# error.  t^100 is {200: 1}, at 1e300, 1e300j and complex(1e300, 1).
 @pytest.mark.parametrize("evaluate", [
     pytest.param(lambda: LaurentPoly({200: 1}).eval_complex(1e300), id="laurent-exact-real"),
     pytest.param(lambda: LaurentPoly({200: 1}).eval_complex(1e300j), id="laurent-imaginary-axis"),
@@ -471,14 +474,35 @@ def test_eval_complex_refuses_an_infinite_coordinate(evaluate):
                  id="laurent-complex-nan"),
     pytest.param(lambda: LaurentPoly({2: 2}).eval_complex(complex(1.7e308, 1)),
                  id="laurent-complex-inf"),
+    pytest.param(lambda: LaurentPoly({4: 10**400}).eval_complex(1e-10j),
+                 id="laurent-coefficient-and-term"),
+    pytest.param(lambda: BiPoly({(200, 0): 1}).eval_complex((1e300, 1.0)), id="bivar-exact-real"),
     pytest.param(lambda: BiPoly({(200, 0): 1}).eval_complex((complex(1e300, 1), 1)),
                  id="bivar-complex"),
+    pytest.param(lambda: BiPoly({(0, 2): 10**400}).eval_complex((1j, 1e-10j)),
+                 id="bivar-coefficient-and-term"),
     pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), BiPoly({(0, 2): 1, (0, 0): -2}))
                  .eval_complex((1e300, 1e300)), id="radical-product"),
 ])
 def test_eval_complex_refuses_a_value_past_the_float_range(evaluate):
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match="^the value is past the float range$"):
         evaluate()
+
+
+# a coefficient past the float range is summed when its term is not: written
+# as m·2^s, m·power is scaled by 2^s, where int-to-float conversion overflowed
+@pytest.mark.parametrize("poly, point, want", [
+    pytest.param(LaurentPoly({4: 10**400}), 1e-150j, -1e100, id="imaginary-axis"),
+    pytest.param(LaurentPoly({1: 10**400}), 1e-300, 1e250, id="half-exponent"),
+    pytest.param(LaurentPoly({2: -(10**400), 0: 1}), complex(1e-300, 1e-300),
+                 complex(-1e100, -1e100), id="complex-point"),
+    pytest.param(LaurentPoly({2: 10**400, 4: 3}), 1e-200j, 1e200j, id="imaginary-axis-two-terms"),
+    pytest.param(BiPoly({(2, 2): 10**400, (0, 0): 2}), (1e-200j, 1e-100), complex(2, 1e100),
+                 id="bivar"),
+    pytest.param(BiPoly({(1, 0): 3 * 10**400}), (1e-300, 1.0), 3e250, id="bivar-half-exponent"),
+])
+def test_eval_complex_sums_a_coefficient_past_the_float_range(poly, point, want):
+    assert cmath.isclose(poly.eval_complex(point), want, rel_tol=1e-12)
 
 
 # a str, bytes or bool is no point, on every path: not a number that

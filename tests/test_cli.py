@@ -1,8 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotpoly import BiPoly, LaurentPoly, cheb_second
 from knotpoly import cli, identities
@@ -418,6 +421,39 @@ def test_refuses_an_index_too_long_to_parse(capsys, argv, past, below):
     # leading zeros count towards the limit, but not towards the value
     args = cli.build_parser().parse_args([*argv, "0" * 5000 + "7"])
     assert vars(args)[argv[-1][2:].replace("-", "_")] == 7
+
+
+# every index is read by the one pattern ``cli._INTEGER``: it refuses as no
+# integer exactly the text that int() refuses, digits of any script and the
+# whitespace int() strips included, and reads any other text to int()'s value
+# or to the bound that value breaks
+@settings(max_examples=300)
+@given(text=st.one_of(
+    st.text(max_size=30),
+    st.from_regex(r"\s*[+-]?\d+(_\d+)*\s*", fullmatch=True),
+    st.text(st.sampled_from(" \t\x0b\x1c\x1f\x85\xa0\u3000_+-0123456789\u0660\u0967\uff10x"),
+            max_size=30),
+), lower=st.integers(0, 2), power=st.sampled_from((2, 3)))
+def test_reads_an_index_as_int_does(text, lower, power):
+    try:
+        value = int(text)
+    except ValueError:
+        want = None
+    else:
+        if value < lower:
+            want = "value must be nonnegative" if lower == 0 else f"value must be at least {lower}"
+        elif value ** power > cli.MAX_DIGITS:
+            want = f"value must be at most {round(cli.MAX_DIGITS ** (1 / power))}"
+        else:
+            want = value
+    try:
+        got = cli._index(lower, power)(text)
+    except argparse.ArgumentTypeError as err:
+        got = str(err)
+    if want is None:
+        assert isinstance(got, str) and got.endswith(" is not an integer")
+    else:
+        assert got == want
 
 
 # the largest requests that CI, the benchmark's op lists and the tests make

@@ -3,7 +3,7 @@ from math import gcd
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import knotpoly
@@ -269,8 +269,27 @@ def _split_terms(source, image):
     return (g * 0 + laurent._split(sorted(source.items()), squares)).terms
 
 
+# Rows at the width bound: sign-uniform sources at images with all-positive
+# coefficients, whose result's coefficients sum to the bound
+# sum(|f_d|·|g|^d); one-term images, where one coefficient is the bound
+# itself, with a bit length that fills whole bytes (88 bits: 2^64 - 1 times
+# 2^24); and sources of ±1 or of 64-bit coefficients whose signed sum at |g|
+# cancels to 0 or to 1, in both arities, with negative and half exponents.
+_FULL = 2**64 - 1
+_ALTERNATING = {d: (-1) ** d for d in range(25)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=_compose_cases())
+@example(case=([dict.fromkeys(range(25), _FULL)], {2: 1, -2: 1}))
+@example(case=([{24: _FULL, 3: 1}, dict.fromkeys(range(0, 25, 3), 1)], {1: 2, -3: 1}))
+@example(case=([{24: _FULL}], {-2: 2}))
+@example(case=([_ALTERNATING], {1: 1, -1: -1}))
+@example(case=([{1: 1 << 63, 0: -(1 << 64)}], {1: -1, -2: 1}))
+@example(case=([dict.fromkeys(range(25), _FULL)], {(2, 0): 1, (0, -1): 1}))
+@example(case=([{24: _FULL}], {(-1, 2): 2}))
+@example(case=([_ALTERNATING, {0: 1}], {(1, 0): 1, (0, -2): -1}))
+@example(case=([{1: 1 << 63, 0: -(1 << 64)}], {(-1, 1): 1, (2, 0): -1}))
 def test_compose_terms_matches_the_split(case):
     sources, image = case
     want = [_split_terms(source, image) for source in sources]
