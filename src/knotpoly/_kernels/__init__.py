@@ -13,11 +13,12 @@ as one packed integer square root, checked by squaring the candidate root
 with ``mul_terms``, and leave every other case to a long division; the
 bivariate kernels of all three kinds fold a key (x, y) onto one int the
 same way.  ``compose_terms`` evaluates sums c·g^d, one per source, at a
-packed image g as one big int each, over the squares of that int, and
-unpacks each once; a source below its crossover, or an image or result
-past its density and size guards, is refused, and ``compose`` and
-``substitute`` then split their source so that their work is balanced
-products that reach the packed multiply, as ``**`` always does.
+packed image g as one big int each, over the squares of that int, scales
+and shifts each to its place as it unpacks it, and sums them; a source
+below its crossover, or an image or result past its density and size
+guards, is refused, and ``compose`` and ``substitute`` then split their
+source so that their work is balanced products that reach the packed
+multiply, as ``**`` always does.
 """
 
 from .pure import (add_terms, bi_mul_terms, bi_sqrt_terms, compose_terms, mul_terms, neg_terms,

@@ -50,7 +50,8 @@ sum, which is why a large evaluation costs more packed than split.  It
 packs only from ``_COMPOSE_FROM`` source terms, with at most
 ``_COMPOSE_FILL`` slots per term of g's top power and at most
 ``_COMPOSE_BYTES`` bytes in a result; a bivariate image is folded first,
-additively, at (0, 0).
+additively, at (0, 0).  Each sum, times its place's scale s (|s| in the
+bound), is read back from the place's key into one summed term dict.
 
 ``_pack`` and ``_unpack`` are the one byte packing that all three packed
 kernels share.
@@ -240,22 +241,23 @@ def _packed_mul(a, b):
     return _unpack(product, range(lo, lo + step * slots, step), width)
 
 
-def compose_terms(sources, image):
-    """[f(g) for each source f], f(g) = sum(f_d·g^d) over the items
-    (d, f_d) of f and g the term dict ``image`` (int keys, or pairs, folded
-    as the products fold them), by one big-int evaluation per source; or
-    None when the crossover, the density guard or the size guard refuses
-    them.  Every source is a nonempty dict of nonnegative int degrees to
-    int coefficients; they share the image's squares and one slot width.
+def compose_terms(sources, image, places):
+    """sum(s·X^k·f(g)) over each source f and its place (k, s), f(g) =
+    sum(f_d·g^d) over the items (d, f_d) of f and g the term dict ``image``
+    (int keys, or pairs, folded as the products fold them), as one term
+    dict: one big-int evaluation per source; or None when the crossover,
+    the density guard or the size guard refuses them.  Every source is a
+    nonempty dict of nonnegative int degrees to int coefficients; they
+    share the image's squares and one slot width.
 
     Keys are divided by their common stride, the gcd of the image's keys
     (a source coefficient sits at key 0), so that g's exponents span
     [lo, hi] with lo <= 0 <= hi.  With X = 2^(8w) and c = -lo, A = X^c·g(X)
     is an int, and a source of top degree D evaluates to X^(cD)·f(g(X)),
     whose exponents lie in 0..D·(hi - lo): D·(hi - lo) + 1 slots, read back
-    by ``_unpack``.  Its coefficients are at most sum(|f_d|·|g|^d), |g| the
-    sum of the image's |coefficients|, and w bytes hold that bound with a
-    sign bit.
+    from k on by ``_unpack`` after a product by s.  Its coefficients are at
+    most |s|·sum(|f_d|·|g|^d), |g| the sum of the image's |coefficients|,
+    and w bytes hold that bound with a sign bit.
     """
     if sum(map(len, sources)) < _COMPOSE_FROM:
         return None
@@ -278,21 +280,23 @@ def compose_terms(sources, image):
     if slots > _COMPOSE_FILL * comb(top + len(image) - 1, len(image) - 1):
         return None
     norm = sum(map(abs, image.values()))
-    bound = max(_horner(((d, abs(c)) for d, c in reversed(row)), norm, 0, top) for row in rows)
+    bound = max(abs(scale) * _horner(((d, abs(c)) for d, c in reversed(row)), norm, 0, top)
+                for row, (_, scale) in zip(rows, places))
     width = bound.bit_length() // 8 + 1
     if slots * width > _COMPOSE_BYTES:
         return None
     squares = [_pack(image, lo * step, step, hi - lo + 1, width)]
     for _ in range(top.bit_length() - 1):
         squares.append(squares[-1] * squares[-1])
-    out = []
-    for row in rows:
+    out = {}
+    for row, (key, scale) in zip(rows, places):
         degree = row[-1][0]
-        first = degree * lo * step - base
-        terms = _unpack(_compose_split(row, squares, -8 * width * lo),
+        first = degree * lo * step - base + (0 if bivariate else key)
+        terms = _unpack(_compose_split(row, squares, -8 * width * lo) * scale,
                         range(first, first + (degree * (hi - lo) + 1) * step, step), width)
-        out.append(_unfold(terms, (0, base * fold_step[1]), fold_step, fold_width)
-                   if bivariate else terms)
+        if bivariate:
+            terms = _unfold(terms, (key[0], key[1] + base * fold_step[1]), fold_step, fold_width)
+        out = add_terms(out, terms) if out else terms
     return out
 
 

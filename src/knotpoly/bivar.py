@@ -121,8 +121,8 @@ class BiPoly(_TermPoly):
         return RadicalExpr._raw(pre, residual)
 
     def eval_complex(self, point) -> complex:
-        """The value at ``point``, a tuple or list of two numbers: exact at
-        real ones with integer exponents, else a complex-float sum."""
+        """The value at ``point``, a tuple or list of two numbers: exact where
+        ``LaurentPoly.eval_complex`` is on both, else a complex-float sum."""
         if not (isinstance(point, (tuple, list)) and len(point) == 2):
             raise TypeError(f"cannot evaluate at {point!r}: not a tuple or list of two numbers")
         return _evaluate(self.terms, point)

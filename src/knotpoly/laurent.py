@@ -123,20 +123,20 @@ def _substitute(terms, images):
     image a monomial and the source longer than one term, the source is
     grouped by its degrees in the monomial images; the kernel
     ``compose_terms`` evaluates each group, a polynomial in g alone, at the
-    packed g as one big int, and each result is remapped by its group's
-    monomials.  The kernel refuses a source below its crossover, an image
-    whose powers are sparse (t^1000000 + t + 1) and a result past its size
-    guard.  Those, ``**`` (a one-term source), non-polynomial images and a
-    second polynomial image take the split: the first non-monomial image
-    g splits the degrees present, p(g) = p_lo(g) + g^m·p_hi(g) with m the
-    largest power of two up to the top degree, so both halves stay below
-    degree m (Brent and Kung, J. ACM 25, 1978), and splits each half again
-    down to degree 0.  The squares g^(2^i) are built once, up front, by
-    repeated squaring, so a lone term at degree d costs the products of
-    square-and-multiply, and ``g ** d`` is this substitution of x^d.  The
-    O(log n) levels of balanced products that replace Horner's n products
-    by g are what the packed multiplication kernel serves.  A bool image
-    raises TypeError, as a bool operand of the ring operators does.
+    packed g as one big int, places it at its group's monomial, as a key and
+    a scale, and sums the groups.  The kernel refuses a source below its
+    crossover, an image whose powers are sparse (t^1000000 + t + 1) and a
+    result past its size guard.  Those, ``**`` (a one-term source),
+    non-polynomial images and a second polynomial image take the split: the
+    first non-monomial image g splits the degrees present, p(g) = p_lo(g) +
+    g^m·p_hi(g) with m the largest power of two up to the top degree, so
+    both halves stay below degree m (Brent and Kung, J. ACM 25, 1978), and
+    splits each half again down to degree 0.  The squares g^(2^i) are built
+    once, up front, by repeated squaring, so a lone term at degree d costs
+    the products of square-and-multiply, and ``g ** d`` is this substitution
+    of x^d.  The O(log n) levels of balanced products that replace Horner's n
+    products by g are what the packed multiplication kernel serves.  A bool
+    image raises TypeError, as a bool operand of the ring operators does.
     """
     # the terms keyed by their tuples of degrees, less any with a negative or half exponent
     if type(next(iter(terms), 0)) is int:
@@ -163,8 +163,9 @@ def _substitute(terms, images):
 def _substitute_rows(source, images, monos, zero):
     """``_substitute`` with its ring's ``zero`` and each image's monomial
     ``(e, c)``, or None for an image that is not one.  A composition that
-    packs sums its groups' remapped terms; any other takes the split, each
-    row's value being the substitution of the remaining images."""
+    packs is the kernel's one term dict, each group placed at the
+    ``_remap`` of its degrees in the monomials; any other takes the split,
+    each row's value being the substitution of the remaining images."""
     if None not in monos:
         return zero._like(_remap(source, monos, zero._UNIT))
     g = monos.index(None)
@@ -174,18 +175,10 @@ def _substitute_rows(source, images, monos, zero):
         groups = {}
         for degrees, coeff in source.items():
             groups.setdefault(degrees[:g] + degrees[g + 1:], {})[degrees[g]] = coeff
-        composed = compose_terms(list(groups.values()), images[g].terms)
+        places = [_remap({degrees: 1}, rest_monos, zero._UNIT).popitem() for degrees in groups]
+        composed = compose_terms(list(groups.values()), images[g].terms, places)
         if composed is not None:
-            out = {}
-            for degrees, terms in zip(groups, composed):
-                if degrees:  # the group's monomial, as a shift and a scale
-                    ((at, scale),) = _remap({degrees: 1}, rest_monos, zero._UNIT).items()
-                    if type(at) is int:
-                        terms = {k + at: scale * c for k, c in terms.items()}
-                    else:
-                        terms = {(x + at[0], y + at[1]): scale * c for (x, y), c in terms.items()}
-                out = add_terms(out, terms) if out else terms
-            return zero._like(out)
+            return zero._like(composed)
     rows = {}
     for degrees, coeff in source.items():
         rows.setdefault(degrees[g], {})[degrees[:g] + degrees[g + 1:]] = coeff
@@ -271,20 +264,20 @@ def _evaluate(terms, points) -> complex:
     each variable's parity and exponent range taken by ``_spans``.  A str, bytes
     or bool coordinate raises TypeError, NaN ValueError, an infinite one
     OverflowError (as ``Fraction`` does) and a zero one ZeroBase if its
-    variable has a negative exponent.  At real coordinates with integer
-    exponents the sum is exact, rounded once: each coordinate is m/2^e, so
-    ``_horner`` over each variable's full exponent range (for two, one per
-    row, then one over the rows) and one int division give it.
-    Elsewhere each term is summed in complex floats, a half exponent taking
-    the principal square root of its coordinate and a real coordinate with
-    integer exponents staying a float, so that its powers are float pow,
-    not complex pow's exp/log from exponent 100; a base i·r on the
-    imaginary axis, a negative real's root or an imaginary coordinate with
-    integer exponents, is raised as a power of i times float pow of r
-    (``_ImaginaryRoot``); a sum that overflows, as a coefficient past the
-    float range does, is recomputed by ``_scaled_sum``.  A value past the
-    float range raises one OverflowError on every path, for the int
-    division, a float or complex power, or a float sum left at inf or nan."""
+    variable has a negative exponent.  A variable's base is its coordinate,
+    or the principal square root of it when the variable has a half
+    exponent.  A base on an axis is i^q·r, r a float and so m/2^e: each
+    term's power of i goes into its coefficient, which splits the terms into
+    a real part and an imaginary one.  With every base on an axis each part
+    is exact, rounded once: ``_horner`` over each variable's full exponent
+    range (for two, one per row, then one over the rows) and one int
+    division give it.  Elsewhere each part is summed in complex floats, a
+    base on an axis raised by float pow of r, not complex pow's exp/log from
+    exponent 100, and the imaginary part's sum times i added; a sum that
+    overflows, as a coefficient past the float range does, is recomputed
+    scaled by ``_float_sum``.  A value past the float range raises one
+    OverflowError on every path, for the int division, a float or complex
+    power, or a float sum left at inf or nan."""
     zs = []
     for value in points:
         if isinstance(value, (str, bytes, bytearray, bool)):
@@ -297,45 +290,32 @@ def _evaluate(terms, points) -> complex:
         zs.append(z)
     if not terms:
         return 0j
-    bases, dyadic = [], []  # per variable: (base, numerator step), and (m, e, lo, hi) if exact
+    # per variable: (base, numerator step), with a base i^q·r on an axis as r;
+    # q; and (m, e, lo, hi, step) for r = m/2^e, the range in powers of the base
+    bases, turns, dyadic = [], [], []
     for z, (bits, lo, hi) in zip(zs, _spans(terms)):
         if z == 0 and lo < 0:
             raise ZeroBase("negative exponents cannot be evaluated at zero")
-        half = bits & 1
-        base, step = (cmath.sqrt(z), 1) if half else (z if z.imag else z.real, 2)
-        bases.append((_ImaginaryRoot(base.imag) if base.imag and not base.real else base, step))
-        if not (half or z.imag):
-            m, d = z.real.as_integer_ratio()
-            dyadic.append((m, d.bit_length() - 1, lo >> 1, hi >> 1))
+        step = 2 - (bits & 1)
+        base = cmath.sqrt(z) if step == 1 else z
+        turns.append(1 if base.imag and not base.real else 0)
+        if not (base.real and base.imag):
+            base = base.imag or base.real
+            m, d = base.as_integer_ratio()
+            dyadic.append((m, d.bit_length() - 1, lo // step, hi // step, step))
+        bases.append((base, step))
+    parts = (terms,)
+    if any(turns):  # i^q·c: the real part's terms, then the imaginary part's
+        parts = ({}, {})
+        for key, coeff in terms.items():
+            q = sum(t * (k // step)
+                    for t, k, (_, step) in zip(turns, (key,) if type(key) is int else key, bases))
+            parts[q & 1][key] = -coeff if q & 2 else coeff
     try:
         if len(dyadic) == len(zs):
-            (m, e, lo, hi), *rest = dyadic
-            if rest:  # one Horner along each row of the first exponent, then one over the rows
-                ((mb, eb, lob, hib),) = rest
-                rows = {}
-                for (na, nb), c in terms.items():
-                    rows.setdefault(na, {})[nb] = c
-                terms = {na: _horner((((b >> 1) - lob, row[b]) for b in sorted(row, reverse=True)),
-                                     mb, eb, hib - lob) for na, row in rows.items()}
-            top = _horner((((k >> 1) - lo, terms[k]) for k in sorted(terms, reverse=True)),
-                          m, e, hi - lo)
-            bottom = 1  # the sum is top / bottom: top carries m^lo or 2^-(e·hi) if an int
-            for m, e, lo, hi in dyadic:
-                top, bottom = (top * m**lo, bottom) if lo >= 0 else (top, bottom * m**-lo)
-                top, bottom = (top, bottom << e * hi) if hi >= 0 else (top << -e * hi, bottom)
-            return complex(top / bottom) if top else 0j  # 0 / a negative divisor would be -0.0
-        total = 0j
-        try:
-            if len(bases) == 1:
-                ((base, step),) = bases
-                for num, coeff in terms.items():
-                    total += coeff * base ** (num // step)
-            else:
-                (wa, sa), (wb, sb) = bases
-                for (na, nb), coeff in terms.items():
-                    total += coeff * wa ** (na // sa) * wb ** (nb // sb)
-        except OverflowError:  # a coefficient past the float range, or a power
-            total = _scaled_sum(terms, bases)
+            return complex(*[_exact_sum(part, dyadic) for part in parts])
+        re, *im = [_float_sum(part, bases) for part in parts]
+        total = complex(re.real - im[0].imag, re.imag + im[0].real) if im else re
         if cmath.isfinite(total):  # else a product past the float range, or inf - inf
             return total
     except OverflowError:  # from a power, a scaled term or the int division
@@ -343,12 +323,46 @@ def _evaluate(terms, points) -> complex:
     raise OverflowError("the value is past the float range")
 
 
-def _scaled_sum(terms, bases):
-    """``_evaluate``'s float sum with each coefficient written as m·2^s, m
-    below 2^64 and rounded once, and m times the term's power scaled by 2^s:
-    a coefficient past the float range whose term is not is summed, and a
-    term past the range raises OverflowError."""
+def _exact_sum(terms, dyadic):
+    """``_evaluate``'s exact sum of ``terms``, rounded once to a float, each
+    variable's base m/2^e given with its range by ``dyadic``."""
+    if not terms:
+        return 0.0
+    (m, e, lo, hi, step), *rest = dyadic
+    if rest:  # one Horner along each row of the first exponent, then one over the rows
+        ((mb, eb, lob, hib, stepb),) = rest
+        rows = {}
+        for (na, nb), c in terms.items():
+            rows.setdefault(na, {})[nb] = c
+        terms = {na: _horner(((b // stepb - lob, row[b]) for b in sorted(row, reverse=True)),
+                             mb, eb, hib - lob) for na, row in rows.items()}
+    top = _horner(((k // step - lo, terms[k]) for k in sorted(terms, reverse=True)), m, e, hi - lo)
+    bottom = 1  # the sum is top / bottom: top carries m^lo or 2^-(e·hi) if an int
+    for m, e, lo, hi, _ in dyadic:
+        top, bottom = (top * m**lo, bottom) if lo >= 0 else (top, bottom * m**-lo)
+        top, bottom = (top, bottom << e * hi) if hi >= 0 else (top << -e * hi, bottom)
+    return top / bottom if top else 0.0  # 0 / a negative divisor would be -0.0
+
+
+def _float_sum(terms, bases):
+    """``_evaluate``'s complex-float sum.  After an OverflowError it is
+    recomputed with each coefficient written as m·2^s, m below 2^64 and
+    rounded once, and m times the term's power scaled by 2^s: a coefficient
+    past the float range whose term is not is summed, and a term past the
+    range raises OverflowError."""
     total = 0j
+    try:
+        if len(bases) == 1:
+            ((base, step),) = bases
+            for num, coeff in terms.items():
+                total += coeff * base ** (num // step)
+        else:
+            (wa, sa), (wb, sb) = bases
+            for (na, nb), coeff in terms.items():
+                total += coeff * wa ** (na // sa) * wb ** (nb // sb)
+        return total
+    except OverflowError:  # a coefficient past the float range, or a power
+        total = 0j
     for key, coeff in terms.items():
         s = max(coeff.bit_length() - 64, 0)
         value = coeff / (1 << s)
@@ -356,19 +370,6 @@ def _scaled_sum(terms, bases):
             value *= base ** (k // step)
         total += complex(ldexp(value.real, s), ldexp(value.imag, s))
     return total
-
-
-class _ImaginaryRoot:
-    """A base i·r on the imaginary axis, whose k-th power is i^k times the
-    float power r^k."""
-
-    __slots__ = ("r",)
-
-    def __init__(self, r):
-        self.r = r
-
-    def __pow__(self, k):
-        return (1, 1j, -1, -1j)[k % 4] * self.r ** k
 
 
 class _TermPoly:
@@ -671,8 +672,8 @@ class LaurentPoly(_TermPoly):
         return self._like(root)
 
     def eval_complex(self, value) -> complex:
-        """The value at a number: exact at a real one with integer exponents,
-        else a complex-float sum (see ``_evaluate``)."""
+        """The value at a number: exact at a real one, and at an imaginary one
+        with integer exponents, else a complex-float sum (see ``_evaluate``)."""
         return _evaluate(self.terms, (value,))
 
     # -- rendering ---------------------------------------------------

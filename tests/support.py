@@ -155,24 +155,32 @@ def naive_render(poly, ascending=True):
 
 
 def fraction_sum(poly, point):
-    """The value of an integer-exponent ``poly`` at a real ``point``, a
-    number for a LaurentPoly and a pair for a BiPoly, rounded once from the
-    exact sum.  A float coordinate is m/d with d a power of two: over the
-    denominator d^H·m^M, with H and M the largest positive and negative
-    exponents of its variable, the term c·x^k has the integer numerator
-    c·m^(k+M)·d^(H-k), so the sum is one int over one int."""
+    """The value of an integer-exponent ``poly`` at ``point``, a number for
+    a LaurentPoly and a pair for a BiPoly, each coordinate real or purely
+    imaginary, rounded once from the exact sum.  A coordinate is i^q·m/d,
+    q 0 or 1 and d a power of two: over the denominator d^H·m^M, with H and
+    M the largest positive and negative exponents of its variable, the term
+    c·x^k has the numerator i^(qk)·c·m^(k+M)·d^(H-k), so the term's power
+    of i puts its int numerator in the real or the imaginary part, and each
+    part is one int over one int."""
     if isinstance(poly, LaurentPoly):
         point, terms = (point,), [((num,), c) for num, c in poly.terms.items()]
     else:
         terms = poly.terms.items()
-    numerators, bottom = [c for _, c in terms], 1
-    for i, (m, d) in enumerate([complex(v).real.as_integer_ratio() for v in point]):
+    numerators, turns, bottom = [c for _, c in terms], [0] * len(terms), 1
+    for i, value in enumerate(point):
+        value = complex(value)
+        q = 1 if value.imag and not value.real else 0
+        m, d = (value.imag if q else value.real).as_integer_ratio()
         ks = [key[i] // 2 for key, _ in terms]
         high, low = max([0, *ks]), -min([0, *ks])
         numerators = [c * m ** (k + low) * d ** (high - k) for c, k in zip(numerators, ks)]
+        turns = [t + q * k for t, k in zip(turns, ks)]
         bottom *= d**high * m**low
-    top = sum(numerators)
-    return complex(top / bottom if bottom > 0 else -top / -bottom)
+    parts = [0, 0]
+    for c, t in zip(numerators, turns):
+        parts[t % 2] += -c if t % 4 >= 2 else c
+    return complex(*(top / bottom if bottom > 0 else -top / -bottom for top in parts))
 
 
 def cheb_second_closed(n):

@@ -505,6 +505,37 @@ def test_eval_complex_sums_a_coefficient_past_the_float_range(poly, point, want)
     assert cmath.isclose(poly.eval_complex(point), want, rel_tol=1e-12)
 
 
+# on both axes the sum is exact, rounded once: a base i^q·r puts each term's
+# power of i into its coefficient, and the real and the imaginary part each
+# take the int Horner, where a float sum multiplied the coefficient into a
+# power that had underflowed to 0
+@pytest.mark.parametrize("poly, point, want", [
+    pytest.param(LaurentPoly({4: 10**300}), 1e-200j, complex(-1e-100), id="imaginary-axis"),
+    pytest.param(LaurentPoly({4: 10**400}), 1e-200j, complex(-1), id="coefficient-past-the-range"),
+    pytest.param(BiPoly({(3, 0): 10**400, (0, 0): 1}), (-1e-300, 1.0), complex(1, -1e-50),
+                 id="bivar-negative-real-half-exponent"),
+    pytest.param(BiPoly({(2, 2): 10**400, (0, 0): 1}), (1e-200j, 1e-200j),
+                 complex(float(1 - 10**400 * Fraction(1e-200) ** 2)), id="bivar-both-imaginary"),
+    pytest.param(LaurentPoly({5: 10**500, 0: -1}), -1e-200,
+                 complex(-1, float(10**500 * Fraction(cmath.sqrt(-1e-200).imag) ** 5)),
+                 id="negative-real-half-exponent"),
+])
+def test_eval_complex_is_exact_on_both_axes(poly, point, want):
+    assert repr(poly.eval_complex(point)) == repr(want)
+
+
+_imaginary = st.one_of(_dyadic, st.floats().filter(bool)).map(lambda v: complex(0, v))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(_cases(40, _imaginary),
+                      st.tuples(_bi_integral(40), st.tuples(_imaginary, _dyadic)
+                                | st.tuples(_dyadic, _imaginary))))
+def test_eval_complex_is_the_rounded_exact_sum_on_the_imaginary_axis(case):
+    poly, point = case
+    assert _outcome(lambda: poly.eval_complex(point)) == _outcome(lambda: fraction_sum(poly, point))
+
+
 # a str, bytes or bool is no point, on every path: not a number that
 # ``complex`` parses, nor a pair of coordinates spelt by its characters
 @pytest.mark.parametrize("evaluate", [

@@ -232,9 +232,15 @@ def test_product_memory_follows_the_terms_not_the_exponent_gaps(kernel, key, siz
 # dicts of degree up to 27, sparse or dense, with coefficients up to 2^64,
 # times (x - g_0)^j for j up to 3, g_0 the image's constant coefficient, so
 # that the constant cancels from every power of g - g_0.  A one-term source
-# on a one-term image reaches its width bound exactly.  The crossover and
-# the guards are lifted, so that every case is evaluated packed.
+# on a one-term image reaches its width bound exactly.  Each source has its
+# own place: a key with negative and odd numerators, _APART from the other
+# sources' keys times the source's index, past the span of any result, so
+# that the pieces do not overlap and the sum holds each one whole; and a
+# scale of ±1, ±3 or 2^64.  In some cases the last of two or three sources
+# takes the first one's key, and the two pieces add.  The crossover and the
+# guards are lifted, so that every case is evaluated packed.
 _UNGUARDED = {"_COMPOSE_FROM": 0, "_COMPOSE_FILL": 1 << 64, "_COMPOSE_BYTES": 1 << 64}
+_APART = 1000
 
 
 @st.composite
@@ -257,7 +263,15 @@ def _compose_cases(draw):
         for _ in range(draw(st.integers(0, 3))):
             source = naive_mul_terms(source, {1: 1, 0: -image.get(unit, 0)})
         sources.append(source)
-    return sources, image
+    offsets, direction = st.integers(-9, 9), draw(st.sampled_from((1, -1)))
+    places = []
+    for i in range(len(sources)):
+        at = direction * _APART * i
+        key = (at + draw(offsets), draw(offsets) - at) if bivariate else at + draw(offsets)
+        places.append((key, draw(st.sampled_from((1, -1, 3, -3, 2**64)))))
+    if len(sources) > 1 and draw(st.booleans()):
+        places[-1] = (places[0][0], places[-1][1])
+    return sources, image, places
 
 
 def _split_terms(source, image):
@@ -269,33 +283,50 @@ def _split_terms(source, image):
     return (g * 0 + laurent._split(sorted(source.items()), squares)).terms
 
 
+def _placed(terms, place):
+    """``terms`` times the scale of ``place``, its keys shifted by the key."""
+    key, scale = place
+    if type(key) is int:
+        return {k + key: scale * c for k, c in terms.items()}
+    return {(x + key[0], y + key[1]): scale * c for (x, y), c in terms.items()}
+
+
 # Rows at the width bound: sign-uniform sources at images with all-positive
 # coefficients, whose result's coefficients sum to the bound
 # sum(|f_d|·|g|^d); one-term images, where one coefficient is the bound
-# itself, with a bit length that fills whole bytes (88 bits: 2^64 - 1 times
-# 2^24); and sources of ±1 or of 64-bit coefficients whose signed sum at |g|
-# cancels to 0 or to 1, in both arities, with negative and half exponents.
+# itself, with a bit length that fills whole bytes (152 bits: 2^64 - 1 times
+# 2^24 times a scale of ±2^64); and sources of ±1 or of 64-bit
+# coefficients whose signed sum at |g| cancels to 0 or to 1, in both
+# arities, with negative and half exponents and keys.  The last two rows
+# place two sources at one key, where they add, or cancel but for 15·g^8.
 _FULL = 2**64 - 1
 _ALTERNATING = {d: (-1) ** d for d in range(25)}
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_compose_cases())
-@example(case=([dict.fromkeys(range(25), _FULL)], {2: 1, -2: 1}))
-@example(case=([{24: _FULL, 3: 1}, dict.fromkeys(range(0, 25, 3), 1)], {1: 2, -3: 1}))
-@example(case=([{24: _FULL}], {-2: 2}))
-@example(case=([_ALTERNATING], {1: 1, -1: -1}))
-@example(case=([{1: 1 << 63, 0: -(1 << 64)}], {1: -1, -2: 1}))
-@example(case=([dict.fromkeys(range(25), _FULL)], {(2, 0): 1, (0, -1): 1}))
-@example(case=([{24: _FULL}], {(-1, 2): 2}))
-@example(case=([_ALTERNATING, {0: 1}], {(1, 0): 1, (0, -2): -1}))
-@example(case=([{1: 1 << 63, 0: -(1 << 64)}], {(-1, 1): 1, (2, 0): -1}))
+@example(case=([dict.fromkeys(range(25), _FULL)], {2: 1, -2: 1}, [(-7, 2**64)]))
+@example(case=([{24: _FULL, 3: 1}, dict.fromkeys(range(0, 25, 3), 1)], {1: 2, -3: 1},
+               [(5, -3), (-1001, 2**64)]))
+@example(case=([{24: _FULL}], {-2: 2}, [(3, 2**64)]))
+@example(case=([_ALTERNATING], {1: 1, -1: -1}, [(-1, -1)]))
+@example(case=([{1: 1 << 63, 0: -(1 << 64)}], {1: -1, -2: 1}, [(1, 3)]))
+@example(case=([dict.fromkeys(range(25), _FULL)], {(2, 0): 1, (0, -1): 1}, [((-3, 5), 2**64)]))
+@example(case=([{24: _FULL}], {(-1, 2): 2}, [((5, -3), -(2**64))]))
+@example(case=([_ALTERNATING, {0: 1}], {(1, 0): 1, (0, -2): -1},
+               [((-1, 2), 1), ((1001, -999), -1)]))
+@example(case=([{1: 1 << 63, 0: -(1 << 64)}], {(-1, 1): 1, (2, 0): -1}, [((0, -7), 2**64)]))
+@example(case=([_ALTERNATING, {3: 1, 0: 2}], {1: 1, -1: 1}, [(-3, 3), (-3, -1)]))
+@example(case=([dict.fromkeys(range(9), 5), dict.fromkeys(range(8), 5)], {(1, 0): 1, (0, 1): 2},
+               [((-1, 3), 3), ((-1, 3), -3)]))
 def test_compose_terms_matches_the_split(case):
-    sources, image = case
-    want = [_split_terms(source, image) for source in sources]
-    assert pure.compose_terms(sources, image) in (None, want)
+    sources, image, places = case
+    want = {}
+    for source, place in zip(sources, places):
+        want = pure.add_terms(want, _placed(_split_terms(source, image), place))
+    assert pure.compose_terms(sources, image, places) in (None, want)
     with mock.patch.multiple(pure, **_UNGUARDED):
-        assert pure.compose_terms(sources, image) == want
+        assert pure.compose_terms(sources, image, places) == want
 
 
 # -- the packed square root against the long division -------------------------
