@@ -9,9 +9,11 @@ requires.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .bivar import BiPoly
 from .laurent import LaurentPoly
-from .qnumbers import _check_index, _three_term, qpnum_closed
+from .qnumbers import _check_index, _Recurrence, qpnum_closed
 
 __all__ = [
     "cheb_first",
@@ -23,11 +25,14 @@ __all__ = [
 ]
 
 
+# both kinds step by (x, -1) and differ in their first seed
+_X = LaurentPoly.gen("x")
+_CHEB_FIRST_REC = _Recurrence(_X, -1, (LaurentPoly.constant(2, "x"), _X))
+
+
 def cheb_first_seq(n_max: int) -> list[LaurentPoly]:
     """T_0..T_n from T_0 = 2, T_1 = x, T_{k+1} = x T_k - T_{k-1}."""
-    _check_index(n_max)
-    x = LaurentPoly.gen("x")
-    return _three_term((LaurentPoly.constant(2, "x"), x), x, -1, n_max + 1)
+    return list(islice(_CHEB_FIRST_REC.members(), _check_index(n_max) + 1))
 
 
 def _second_kind(n: int):
@@ -55,11 +60,12 @@ def cheb_first(n: int) -> LaurentPoly:
     return LaurentPoly._make("x", terms)
 
 
+_CHEB_SECOND_REC = _Recurrence(_X, -1, (LaurentPoly.one("x"), _X))
+
+
 def cheb_second_seq(n_max: int) -> list[LaurentPoly]:
     """V_0..V_n from V_0 = 1, V_1 = x, V_{k+1} = x V_k - V_{k-1}."""
-    _check_index(n_max)
-    x = LaurentPoly.gen("x")
-    return _three_term((LaurentPoly.one("x"), x), x, -1, n_max + 1)
+    return list(islice(_CHEB_SECOND_REC.members(), _check_index(n_max) + 1))
 
 
 def cheb_second(n: int) -> LaurentPoly:

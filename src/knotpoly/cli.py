@@ -89,13 +89,10 @@ def _cmd_member(args):
 # each family: the (c1, c2) of a builder's recurrence, as BiPoly values,
 # and the text order; the knot members' pair is lifted into (t, u)
 _SKEIN_FAMILIES = {
-    "classical": (
-        BiPoly._make(("t", "u"), {(num, 0): c for num, c in _KNOT_REC[0].terms.items()}),
-        BiPoly.constant(_KNOT_REC[1], ("t", "u")),
-        False,
-    ),
-    "rx": (*_RX_REC, True),
-    "az": (*_HOMFLY_REC, True),
+    "classical": (BiPoly._make(("t", "u"), {(k, 0): c for k, c in _KNOT_REC.c1.terms.items()}),
+                  BiPoly.constant(_KNOT_REC.c2, ("t", "u")), False),
+    "rx": (_RX_REC.c1, _RX_REC.c2, True),
+    "az": (_HOMFLY_REC.c1, _HOMFLY_REC.c2, True),
 }
 
 

@@ -2,10 +2,11 @@
 acceptance criteria check, written out once, and the runner for a suite.
 
 A side is a function of ``(seq, n)``, where ``seq(builder)`` is
-``builder(max_n)``, built once per run.  Sides name their builders in
-their bodies, so each call looks them up in this module's globals.  Two
-modes: ``exact`` compares the sides at every n from ``start`` to
-``max_n``; the skein triples are exact entries on the closed forms.
+``builder(max_n)``, built once per run.  Sides name their builders, and
+the ``_Recurrence`` declarations they step by, in their bodies, so each
+call looks them up in this module's globals.  Two modes: ``exact``
+compares the sides at every n from ``start`` to ``max_n``; the skein
+triples are exact entries on the closed forms.
 ``numeric`` evaluates ``lhs`` at every ``(label, point, want)`` sample of
 ``rhs`` and needs an error within ``TOL``: absolute, or relative to
 ``max(1, |want|)`` for a ``relative`` entry.  Only the trigonometric
@@ -23,6 +24,7 @@ from .bivar import BiPoly
 from .chebyshev import cheb_first, cheb_first_seq, cheb_second, cheb_second_qp, cheb_second_seq
 from .invariants import (
     _HOMFLY_IMAGES,
+    _UNIFIED_REC,
     alexander_closed,
     alexander_from_qnum,
     alexander_knot_rec,
@@ -35,7 +37,7 @@ from .invariants import (
     homfly_rec,
 )
 from .laurent import LaurentPoly
-from .qnumbers import qnum_closed, qnum_rec_seq, qpnum_closed, qpnum_rec_seq
+from .qnumbers import _QPNUM_REC, qnum_closed, qnum_rec_seq, qpnum_closed, qpnum_rec_seq
 
 __all__ = ["IDENTITIES", "NUMERIC_MAX_N", "SUITES", "TOL", "Identity", "check", "run"]
 
@@ -49,10 +51,8 @@ NUMERIC_MAX_N = 1023
 _T = LaurentPoly.gen("t")
 _T_INV = LaurentPoly._make("t", {-2: 1})
 _T_PLUS_INV = LaurentPoly._make("t", {2: 1, -2: 1})
-_HALF_DIFF = LaurentPoly._make("t", {1: 1, -1: -1})  # t^(1/2) - t^(-1/2)
-_Q_PLUS_P = BiPoly._make(("q", "p"), {(2, 0): 1, (0, 2): 1})
-_QP = BiPoly._make(("q", "p"), {(2, 2): 1})
-# (c1, c2) composed from the HOMFLY knots' skein pair b1 = az, b2 = a^2
+# (c1, c2) composed from the HOMFLY knots' skein pair b1 = az, b2 = a^2, not
+# read from _HOMFLY_REC, so that the triple checks the declared pair apart
 _C1, _C2 = compose_skein(BiPoly._make(("a", "z"), {(2, 2): 1}),
                          BiPoly._make(("a", "z"), {(4, 0): 1}))
 
@@ -85,8 +85,8 @@ class Identity(NamedTuple):
 IDENTITIES = (
     Identity("unified skein triple", "unified-skein", 3,
              lambda seq, n: seq(_unified_members)[n - 1],
-             lambda seq, n: _HALF_DIFF * seq(_unified_members)[n - 2]
-             + seq(_unified_members)[n - 3]),
+             lambda seq, n: _UNIFIED_REC.step(seq(_unified_members)[n - 2],
+                                              seq(_unified_members)[n - 3])),
     Identity("knot recurrence vs closed form", "knot-recurrence", 0,
              lambda seq, n: seq(alexander_knot_rec)[n],
              lambda seq, n: alexander_closed(2 * n + 1)),
@@ -136,7 +136,7 @@ IDENTITIES = (
              lambda seq, n: qnum_closed(n + 1)),
     Identity("q,p knot member recurrence", "identity-lattice", 2,
              lambda seq, n: alexander_qp(n),
-             lambda seq, n: _Q_PLUS_P * alexander_qp(n - 1) - _QP * alexander_qp(n - 2)),
+             lambda seq, n: _QPNUM_REC.step(alexander_qp(n - 1), alexander_qp(n - 2))),
     Identity("r,x knot member as r^n(V_n - r V_(n-1))", "identity-lattice", 1,
              lambda seq, n: seq(alexander_rx_seq)[n],
              lambda seq, n: _rx_lift(seq(cheb_second_seq)[n], n)

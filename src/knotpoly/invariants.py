@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import cycle
+from itertools import cycle, islice
 
 from .bivar import BiPoly, RadicalExpr
 from .chebyshev import _second_kind
 from .errors import NonPolynomialB2
 from .laurent import LaurentPoly
-from .qnumbers import _check_index, _three_term, qnum_closed, qpnum_closed
+from .qnumbers import _check_index, _Recurrence, qnum_closed, qpnum_closed
 
 __all__ = [
     "TorusIndex",
@@ -80,20 +80,6 @@ def _as_s(index) -> int:
     return TorusIndex(index).s
 
 
-# The coefficients (c1, c2) of P_(k+1) = c1 P_k + c2 P_(k-1) for the knot
-# members, the (r,x) form and HOMFLY; ``skein-derive`` derives its
-# families' skein coefficients from these same pairs.
-_KNOT_REC = (LaurentPoly._make("t", {2: 1, -2: 1}), -1)  # t + 1/t, -1
-_RX_REC = (
-    BiPoly._make(("r", "x"), {(2, 2): 1}),  # rx
-    BiPoly._make(("r", "x"), {(4, 0): -1}),  # -r^2
-)
-_HOMFLY_REC = (
-    BiPoly._make(("a", "z"), {(4, 4): 1, (4, 0): 2}),  # a^2 z^2 + 2a^2
-    BiPoly._make(("a", "z"), {(8, 0): -1}),  # -a^4
-)
-
-
 # -- Alexander family ----------------------------------------------------
 
 
@@ -106,6 +92,11 @@ def alexander_closed(index) -> LaurentPoly:
     return LaurentPoly._make("t", dict(zip(range(s - 1, -s, -2), cycle((1, -1)))))
 
 
+# the skein recursion's step t^(1/2) - t^(-1/2) is also the Hopf link member
+_HALF_DIFF = LaurentPoly._make("t", {1: 1, -1: -1})
+_UNIFIED_REC = _Recurrence(_HALF_DIFF, 1, (LaurentPoly.one("t"), _HALF_DIFF))
+
+
 def alexander_unified_rec(s_max: int) -> list[LaurentPoly]:
     """Knot and link members interleaved, built by the skein recursion.
 
@@ -113,16 +104,19 @@ def alexander_unified_rec(s_max: int) -> list[LaurentPoly]:
     t^(1/2) - t^(-1/2) (Hopf link), and each step adds
     (t^(1/2) - t^(-1/2)) times the previous member to the one before it.
     """
-    step = LaurentPoly._make("t", {1: 1, -1: -1})
-    return _three_term((LaurentPoly.one("t"), step), step, 1, _as_s(s_max))
+    return list(islice(_UNIFIED_REC.members(), _as_s(s_max)))
+
+
+# ``skein-derive`` reads its families' (c1, c2) from _KNOT_REC, _RX_REC and
+# _HOMFLY_REC, the recurrences the builders run
+_KNOT_REC = _Recurrence(LaurentPoly._make("t", {2: 1, -2: 1}), -1,
+                        (LaurentPoly.one("t"), LaurentPoly._make("t", {2: 1, 0: -1, -2: 1})))
 
 
 def alexander_knot_rec(m_max: int) -> list[LaurentPoly]:
     """Knot members only, indexed by degree m = 0..m_max, built by
     A_{m+1} = (t + 1/t) A_m - A_{m-1} from A_0 = 1, A_1 = t - 1 + 1/t."""
-    _check_index(m_max)
-    seeds = (LaurentPoly.one("t"), LaurentPoly._make("t", {2: 1, 0: -1, -2: 1}))
-    return _three_term(seeds, *_KNOT_REC, m_max + 1)
+    return list(islice(_KNOT_REC.members(), _check_index(m_max) + 1))
 
 
 def alexander_from_qnum(m: int) -> LaurentPoly:
@@ -142,13 +136,16 @@ def alexander_qp(n: int) -> BiPoly:
     return qpnum_closed(n + 1) - qp * qpnum_closed(n)
 
 
+_RX_REC = _Recurrence(BiPoly._make(("r", "x"), {(2, 2): 1}),  # rx
+                      BiPoly._make(("r", "x"), {(4, 0): -1}),  # -r^2
+                      (BiPoly.one(("r", "x")), BiPoly._make(("r", "x"), {(2, 2): 1, (4, 0): -1})))
+
+
 def alexander_rx_seq(n_max: int) -> list[BiPoly]:
     """Two-variable generalisation in scale/trace form, A_0..A_n, built by
     the recursion A_{k+1} = rx A_k - r^2 A_{k-1} from A_0 = 1,
     A_1 = rx - r^2."""
-    _check_index(n_max)
-    seeds = (BiPoly.one(("r", "x")), BiPoly._make(("r", "x"), {(2, 2): 1, (4, 0): -1}))
-    return _three_term(seeds, *_RX_REC, n_max + 1)
+    return list(islice(_RX_REC.members(), _check_index(n_max) + 1))
 
 
 def alexander_rx(n: int) -> BiPoly:
@@ -162,13 +159,17 @@ def alexander_rx(n: int) -> BiPoly:
 # -- HOMFLY family -------------------------------------------------------
 
 
+_HOMFLY_REC = _Recurrence(BiPoly._make(("a", "z"), {(4, 4): 1, (4, 0): 2}),  # a^2 z^2 + 2a^2
+                          BiPoly._make(("a", "z"), {(8, 0): -1}),  # -a^4
+                          (BiPoly.one(("a", "z")),
+                           BiPoly._make(("a", "z"), {(4, 0): 2, (4, 4): 1, (8, 0): -1})))
+
+
 def homfly_rec(m_max: int) -> list[BiPoly]:
     """HOMFLY polynomials of the knot members T(2m+1, 2) for m = 0..m_max,
     built by H_{m+1} = a^2 (z^2 + 2) H_m - a^4 H_{m-1} from H_0 = 1,
     H_1 = 2a^2 + a^2 z^2 - a^4."""
-    _check_index(m_max)
-    h1 = BiPoly._make(("a", "z"), {(4, 0): 2, (4, 4): 1, (8, 0): -1})
-    return _three_term((BiPoly.one(("a", "z")), h1), *_HOMFLY_REC, m_max + 1)
+    return list(islice(_HOMFLY_REC.members(), _check_index(m_max) + 1))
 
 
 def _second_kind_at_z2_plus_2(n: int):

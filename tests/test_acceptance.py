@@ -9,6 +9,7 @@ single PASS line when it completes (visible with ``pytest -s``).  A
 failing criterion shows up as the test failure itself.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,24 @@ def test_registry_catches_a_perturbed_side(monkeypatch, name, field, perturb, fa
     assert passed < total
     assert all(line.startswith(f"{name} n={ident.start + 1}: ") for line in failures)
     assert failure is None or failures[0] == failure
+
+
+# negative controls on the declarations: the two recurrence entries step by
+# the builders' own _Recurrence, looked up in identities, so a declaration
+# with a perturbed c1 or c2 fails every triple
+@pytest.mark.parametrize("attr, name", [
+    ("_UNIFIED_REC", "unified skein triple"),
+    ("_QPNUM_REC", "q,p knot member recurrence"),
+])
+@pytest.mark.parametrize("field", ["c1", "c2"])
+def test_registry_reads_the_declared_recurrence(monkeypatch, attr, name, field):
+    ident = next(i for i in identities.IDENTITIES if i.name == name)
+    rec = getattr(identities, attr)
+    monkeypatch.setattr(identities, attr, replace(rec, **{field: getattr(rec, field) + 1}))
+    monkeypatch.setattr(identities, "IDENTITIES", (ident,))
+    passed, total, failures = identities.run(ident.suite, 6)
+    assert passed == 0
+    assert failures == [f"{name} n={n}: sides differ" for n in range(ident.start, 7)]
 
 
 # negative controls on the paper's claim: the skein triples compare the
