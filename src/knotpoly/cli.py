@@ -13,32 +13,34 @@ import functools
 import json
 import re
 import sys
+from itertools import islice
 
 from . import identities
 from .bivar import BiPoly
-from .chebyshev import cheb_first, cheb_first_seq, cheb_second, cheb_second_seq
+from .chebyshev import _CHEB_FIRST_REC, _CHEB_SECOND_REC, cheb_first, cheb_second
 from .invariants import (
     _HOMFLY_REC,
     _KNOT_REC,
     _RX_REC,
+    _UNIFIED_REC,
     alexander_closed,
-    alexander_unified_rec,
     compose_skein,
     derive_skein,
     homfly_closed,
-    homfly_rec,
 )
 from .qnumbers import qnum_closed, qpnum_closed
 
 
 # -- the two tables --------------------------------------------------------
-# Builders are named inside the lambdas, so every call looks them up in this
-# module's globals, where a patched builder takes effect.
+# Builders and recurrence declarations are named inside the lambdas, so every
+# call looks them up in this module's globals, where a patched one takes
+# effect.  Each table family yields its rows, so a table holds one member at
+# a time (a recurrence two), never the whole table.
 
 
 def _rows(label, polys, start=0):
     """Rows ``("<label>=<i>", poly)`` of ``polys``, i counting from ``start``."""
-    return [(f"{label}={i}", poly) for i, poly in enumerate(polys, start)]
+    return ((f"{label}={i}", poly) for i, poly in enumerate(polys, start))
 
 
 # each family: its (label, polynomial) rows for ``--max k``, and the text
@@ -47,13 +49,13 @@ _TABLE_FAMILIES = {
     "alexander-knots": (
         lambda k: _rows("m", (alexander_closed(2 * m + 1) for m in range(k + 1))), None),
     "alexander-links": (
-        lambda k: [(f"m={2 * j + 1}/2", alexander_closed(2 * j + 2)) for j in range(k)], None),
-    "unified": (lambda k: _rows("s", alexander_unified_rec(max(k, 1))[:k], 1), None),
-    "homfly": (lambda k: _rows("m", homfly_rec(k)), True),
+        lambda k: ((f"m={2 * j + 1}/2", alexander_closed(2 * j + 2)) for j in range(k)), None),
+    "unified": (lambda k: _rows("s", islice(_UNIFIED_REC.members(), k), 1), None),
+    "homfly": (lambda k: _rows("m", islice(_HOMFLY_REC.members(), k + 1)), True),
     "qnum": (lambda k: _rows("n", map(qnum_closed, range(1, k + 1)), 1), None),
     "qpnum": (lambda k: _rows("n", map(qpnum_closed, range(1, k + 1)), 1), False),
-    "chebyshev-first": (lambda k: _rows("n", cheb_first_seq(k)), None),
-    "chebyshev-second": (lambda k: _rows("n", cheb_second_seq(k)), None),
+    "chebyshev-first": (lambda k: _rows("n", islice(_CHEB_FIRST_REC.members(), k + 1)), None),
+    "chebyshev-second": (lambda k: _rows("n", islice(_CHEB_SECOND_REC.members(), k + 1)), None),
 }
 
 # each single-polynomial command: its help, its index option with that
@@ -103,8 +105,8 @@ def _cmd_skein_derive(args):
     roundtrip_ok = back == (c1, c2)
     named = (("c1", c1), ("c2", c2), ("b1", coeffs.b1), ("b2", coeffs.b2))
     if args.format == "json":
-        # json.dumps of the report, joined as one string as ``_cmd_table``
-        # joins its rows: each value writes its own JSON
+        # json.dumps of the report, joined as one string: each value writes
+        # its own JSON
         values = "".join([f', "{name}": {value.render("json")}' for name, value in named])
         print(f'{{"family": {json.dumps(args.family)}{values}, '
               f'"roundtrip_ok": {json.dumps(roundtrip_ok)}}}')
@@ -140,16 +142,20 @@ def _cmd_verify(args):
 
 def _cmd_table(args):
     rows_for, ascending = _TABLE_FAMILIES[args.family]
-    rows = rows_for(args.max)
+    write = sys.stdout.write
     if args.format == "json":
-        # json.dumps of the schema, joined as one string: only the family and
-        # the labels need escaping, and each polynomial writes its own
-        json_rows = ", ".join([f'{{"label": {json.dumps(label)}, "poly": {poly.render("json")}}}'
-                               for label, poly in rows])
-        print(f'{{"family": {json.dumps(args.family)}, "rows": [{json_rows}]}}')
+        # json.dumps of the schema, written row by row as each is built: only
+        # the family and the labels need escaping, and each polynomial writes
+        # its own
+        write(f'{{"family": {json.dumps(args.family)}, "rows": [')
+        sep = ""
+        for label, poly in rows_for(args.max):
+            write(f'{sep}{{"label": {json.dumps(label)}, "poly": {poly.render("json")}}}')
+            sep = ", "
+        write("]}\n")
     else:
-        for label, poly in rows:
-            print(f"{label}: {_text(poly, ascending)}")
+        for label, poly in rows_for(args.max):
+            write(f"{label}: {_text(poly, ascending)}\n")
     return 0
 
 
@@ -159,7 +165,9 @@ def _cmd_table(args):
 # The largest request accepted, as an estimate of the coefficient digits it
 # builds: a member of index n has at most about n terms of at most about n
 # digits, n^2 in all, and a table or a verify sweep to n builds n members,
-# n^3.  10^12 = (10^6)^2 = (10^4)^3, so those are the largest indices.
+# n^3 in time.  A table streams its rows, so its memory is one member's; a
+# verify sweep holds its members.  10^12 = (10^6)^2 = (10^4)^3, so those are
+# the largest indices.
 MAX_DIGITS = 10**12
 
 

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotpoly import BiPoly, LaurentPoly, cheb_second
-from knotpoly import cli, identities
+from knotpoly import (BiPoly, LaurentPoly, alexander_closed, alexander_unified_rec,
+                      cheb_first_seq, cheb_second, cheb_second_seq, homfly_rec, qnum_closed,
+                      qpnum_closed)
+from knotpoly import cli, identities, qnumbers
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +152,29 @@ class TestVerify:
         assert report["failures"] == []
 
 
+# each family's rows for ``--max k`` from the public list builders and the
+# closed forms, and its text order, apart from ``cli._TABLE_FAMILIES``
+TABLE_ORACLE = {
+    "alexander-knots": (lambda k: [(f"m={m}", alexander_closed(2 * m + 1))
+                                   for m in range(k + 1)], None),
+    "alexander-links": (lambda k: [(f"m={2 * j + 1}/2", alexander_closed(2 * j + 2))
+                                   for j in range(k)], None),
+    "unified": (lambda k: [(f"s={i + 1}", poly) for i, poly in
+                           enumerate(alexander_unified_rec(k) if k else [])], None),
+    "homfly": (lambda k: [(f"m={m}", poly) for m, poly in enumerate(homfly_rec(k))], True),
+    "qnum": (lambda k: [(f"n={n}", qnum_closed(n)) for n in range(1, k + 1)], None),
+    "qpnum": (lambda k: [(f"n={n}", qpnum_closed(n)) for n in range(1, k + 1)], False),
+    "chebyshev-first": (lambda k: [(f"n={n}", poly)
+                                   for n, poly in enumerate(cheb_first_seq(k))], None),
+    "chebyshev-second": (lambda k: [(f"n={n}", poly)
+                                    for n, poly in enumerate(cheb_second_seq(k))], None),
+}
+
+
+def test_table_oracle_names_every_family():
+    assert list(TABLE_ORACLE) == list(cli._TABLE_FAMILIES)
+
+
 class TestTables:
     def test_unified_rows(self, capsys):
         code, out, _ = run_cli(capsys, "table", "unified", "--max", "3")
@@ -180,15 +205,38 @@ class TestTables:
             json.loads(polys[2].render("json"))
         )
 
-    @pytest.mark.parametrize("k", [0, 1, 12])
-    @pytest.mark.parametrize("family", cli._TABLE_FAMILIES)
+    @pytest.mark.parametrize("k", [0, 1, 12, 300])
+    @pytest.mark.parametrize("family", TABLE_ORACLE)
     def test_json_table_is_the_dict_built_dump(self, capsys, family, k):
-        # the joined string the CLI writes against json.dumps of the schema
-        rows = cli._TABLE_FAMILIES[family][0](k)
+        # the rows the CLI streams against json.dumps of the schema, filled
+        # from the list builders
+        rows = TABLE_ORACLE[family][0](k)
         want = json.dumps({"family": family, "rows": [
             {"label": label, "poly": poly.to_json_dict()} for label, poly in rows]})
         assert run_cli(capsys, "table", family, "--max", str(k), "--format", "json") == \
             (0, want + "\n", "")
+
+    @pytest.mark.parametrize("k", [0, 1, 12, 300])
+    @pytest.mark.parametrize("family", TABLE_ORACLE)
+    def test_text_table_matches_the_list_builders(self, capsys, family, k):
+        build, ascending = TABLE_ORACLE[family]
+        order = {} if ascending is None else {"ascending": ascending}
+        text = "".join(f"{label}: {poly.render(**order)}\n" for label, poly in build(k))
+        assert run_cli(capsys, "table", family, "--max", str(k)) == (0, text, "")
+
+
+# a table holds one member at a time: 1001 members of the second kind and
+# their JSON, held whole, peak at about 125 MB.  The peak is tracemalloc's,
+# not ru_maxrss: getrusage keeps ru_maxrss across execve, so a child's
+# reading starts at the peak of the test process that spawned it, which in
+# a full run is larger than a whole table.
+def test_a_table_costs_one_members_memory():
+    code = ("import sys, tracemalloc\nfrom knotpoly import cli\ntracemalloc.start()\n"
+            'assert cli.run(["table", "chebyshev-second", "--max", "1000", "--format", "json"])'
+            " == 0\nsys.stderr.write(str(tracemalloc.get_traced_memory()[1]))")
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, check=True)
+    assert int(proc.stderr) < 16 * 2**20
 
 
 class TestSkeinDerive:
@@ -377,9 +425,9 @@ TOO_LARGE = [
     *(["table", family, "--max"] for family in cli._TABLE_FAMILIES),
     *(["verify", suite, "--max-n"] for suite in identities.SUITES),
 ]
+# the closed forms ``cli`` calls; the recurrence families run ``members()``
 BUILDERS = ["alexander_closed", "homfly_closed", "qnum_closed", "qpnum_closed", "cheb_first",
-            "cheb_second", "cheb_first_seq", "cheb_second_seq", "alexander_unified_rec",
-            "homfly_rec"]
+            "cheb_second"]
 
 
 @pytest.mark.parametrize("argv", TOO_LARGE, ids=" ".join)
@@ -392,6 +440,7 @@ def test_refuses_an_index_past_the_cost_cap(capsys, monkeypatch, argv):
 
     for name in BUILDERS:
         monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(qnumbers._Recurrence, "members", spy)
     monkeypatch.setattr(identities, "check", spy)
     monkeypatch.setattr(identities, "run", spy)
     largest = 10**6 if argv[0] in cli._MEMBER_COMMANDS else 10**4
