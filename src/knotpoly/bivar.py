@@ -11,10 +11,11 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from operator import add
 
 from ._kernels import bi_mul_terms, bi_sqrt_terms, scale_terms
 from .errors import UnresolvedRadical
-from .laurent import (_check_names, _evaluate, _pow_str, _spans, _substitute, _TermPoly,
+from .laurent import (_check_names, _evaluate, _powers, _spans, _substitute, _TermPoly,
                       _to_numerator)
 
 __all__ = ["BiPoly", "RadicalExpr"]
@@ -129,23 +130,13 @@ class BiPoly(_TermPoly):
 
     # -- rendering ---------------------------------------------------
 
-    def _json_text(self) -> str:
-        # the canonical JSON form, as ``json.dumps`` spaces it, written from
-        # the terms: the numerators and the digit strings need no escaping,
-        # the names do
-        body = ", ".join([f'{{"numA": {na}, "numB": {nb}, "coeff": "{coeff}"}}'
-                          for (na, nb), coeff in sorted(self.terms.items(), reverse=True)])
-        names = json.dumps(list(self._names))
-        return f'{{"variables": {names}, "den": 2, "terms": [{body}]}}'
-
     def render(self, style: str = "text", *, ascending: bool = True) -> str:
         """Text terms ordered by the first variable's exponent (ascending by
         default, descending with ``ascending=False``), ties broken by the
         second exponent in the same direction; or the canonical JSON form."""
         va, vb = self._names
-        return self._render(
-            style, not ascending, lambda key: _pow_str(va, key[0]) + _pow_str(vb, key[1])
-        )
+        return self._render(style, not ascending, lambda keys: map(
+            add, _powers(va, [na for na, _ in keys]), _powers(vb, [nb for _, nb in keys])))
 
 
 class RadicalExpr:

@@ -19,6 +19,7 @@ import re
 from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import ldexp
 
 from ._kernels import (add_terms, compose_terms, mul_terms, neg_terms, scale_terms, sqrt_terms,
@@ -96,17 +97,11 @@ def _json_terms(obj, fields):
     return rows
 
 
-def _pow_str(variable: str, num: int) -> str:
-    """Render variable**(num/2); bare name for exponent one, parens for
-    negative or fractional exponents."""
-    if num == 0:
-        return ""
-    if num == 2:
-        return variable
-    if num % 2 == 0:
-        k = num // 2
-        return f"{variable}^{k}" if k > 0 else f"{variable}^({k})"
-    return f"{variable}^({num}/2)"
+def _powers(variable: str, nums) -> list:
+    """The text of variable**(num/2) for each numerator in ``nums``: nothing
+    at 0, the bare name at 2, parens for a negative or half exponent."""
+    return [f"{variable}^({n}/2)" if n & 1 else f"{variable}^{n >> 1}" if n > 2
+            else variable if n == 2 else f"{variable}^({n >> 1})" if n else "" for n in nums]
 
 
 def _substitute(terms, images):
@@ -495,24 +490,39 @@ class _TermPoly:
 
     def _render(self, style: str, descending: bool, body) -> str:
         """``render`` for either arity: the JSON form, or the terms in key
-        order, ``body(key)`` giving a term's powers: each term is its sign,
-        its magnitude (left out when 1 before powers) and its powers, and
-        the first term's "+ x" is then rewritten "x", its "- x" "-x"."""
+        order, ``body(keys)`` giving the powers of every sorted key at once:
+        each term is its sign, its magnitude (left out when 1 before powers)
+        and its powers, written by one f-string per case with no call per
+        term, and the first term's "+ x" is then rewritten "x", its "- x" "-x"."""
         if style == "json":
             return self._json_text()
         if style != "text":
             raise ValueError(f"unknown style {style!r}")
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms, reverse=descending):
-            coeff = self.terms[key]
-            powers = body(key)
-            text = powers if powers and (coeff == 1 or coeff == -1) else f"{abs(coeff)}{powers}"
-            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+        keys = sorted(terms, reverse=descending)
+        parts = [f"+ {p}" if c == 1 and p else f"- {p}" if c == -1 and p
+                 else f"+ {c}{p}" if c > 0 else f"- {-c}{p}"
+                 for c, p in zip([terms[k] for k in keys], body(keys))]
         head = parts[0]
         parts[0] = head[2:] if head[0] == "+" else f"-{head[2:]}"
         return " ".join(parts)
+
+    def _json_text(self) -> str:
+        # the canonical JSON form, as ``json.dumps`` spaces it: one template
+        # per term, filled by ``%s`` (``str``, and so its digit limit) from
+        # the flat run of each sorted key's numerators and its coefficient,
+        # with no Python call and no tuple per term; the numerators and the
+        # digit strings need no escaping, the names do
+        terms, arity = self.terms, len(self._KEY_FIELDS)
+        keys = sorted(terms, reverse=True)
+        fields = "".join([f'"{field}": %s, ' for field in self._KEY_FIELDS])
+        # one iterator zipped once per key field hands zip a key's numerators in turn
+        nums = chain.from_iterable(keys) if arity > 1 else iter(keys)
+        flat = chain.from_iterable(zip(*[nums] * arity, map(terms.__getitem__, keys)))
+        body = ", ".join([f'{{{fields}"coeff": "%s"}}'] * len(keys)) % tuple(flat)
+        return f'{{"{self._NAMES_FIELD}": {json.dumps(self._names)}, "den": 2, "terms": [{body}]}}'
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -678,15 +688,7 @@ class LaurentPoly(_TermPoly):
 
     # -- rendering ---------------------------------------------------
 
-    def _json_text(self) -> str:
-        # the canonical JSON form, as ``json.dumps`` spaces it, written from
-        # the terms: the numerators and the digit strings need no escaping,
-        # the name does
-        body = ", ".join([f'{{"num": {num}, "coeff": "{coeff}"}}'
-                          for num, coeff in sorted(self.terms.items(), reverse=True)])
-        return f'{{"variable": {json.dumps(self._names)}, "den": 2, "terms": [{body}]}}'
-
     def render(self, style: str = "text") -> str:
         """Terms in descending exponent order with explicit signs, or the
         canonical JSON form."""
-        return self._render(style, True, partial(_pow_str, self._names))
+        return self._render(style, True, partial(_powers, self._names))

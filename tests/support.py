@@ -2,12 +2,13 @@
 references the fast paths are checked against, and an independent closed
 form of the Chebyshev family."""
 
+import json
 import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from knotpoly import BiPoly, LaurentPoly
+from knotpoly import BiPoly, LaurentPoly, RadicalExpr
 
 coefficients = st.integers(min_value=-99, max_value=99)
 half_numerators = st.integers(min_value=-20, max_value=20)
@@ -152,6 +153,28 @@ def naive_render(poly, ascending=True):
         else:
             text += f" + {word}" if coeff > 0 else f" - {word}"
     return text
+
+
+def _naive_schema(poly):
+    # the JSON schema as a dict, a term at a time in descending key order
+    if isinstance(poly, RadicalExpr):
+        return {"prefactor": _naive_schema(poly.prefactor),
+                "radicands": [] if poly.radicand is None else [_naive_schema(poly.radicand)]}
+    bivariate = isinstance(poly, BiPoly)
+    terms = []
+    for key in sorted(poly.terms, reverse=True):
+        term = {"numA": key[0], "numB": key[1]} if bivariate else {"num": key}
+        term["coeff"] = str(poly.terms[key])
+        terms.append(term)
+    names = {"variables": list(poly.variables)} if bivariate else {"variable": poly.variable}
+    return {**names, "den": 2, "terms": terms}
+
+
+def naive_json(poly):
+    """``poly.render("json")`` from the schema: ``json.dumps`` of the dict
+    of a LaurentPoly, a BiPoly or a RadicalExpr's two parts, built term by
+    term in descending key order, each coefficient its decimal string."""
+    return json.dumps(_naive_schema(poly))
 
 
 def fraction_sum(poly, point):

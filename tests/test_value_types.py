@@ -5,6 +5,7 @@ import functools
 import json
 import operator
 import re
+import sys
 import types
 
 import pytest
@@ -37,7 +38,8 @@ from knotpoly import (
 from knotpoly import bivar, chebyshev, invariants, laurent, qnumbers
 from knotpoly.errors import NonIntegralOuter
 
-from support import bi_polys, coefficients, laurent_polys, naive_render, wide_coefficients
+from support import (bi_polys, coefficients, laurent_polys, naive_json, naive_render,
+                     wide_coefficients)
 
 
 @pytest.mark.parametrize("cls", [LaurentPoly, BiPoly])
@@ -418,7 +420,8 @@ def test_power_is_the_repeated_product(poly, k):
 
 # -- the canonical JSON writer is exactly ``json.dumps`` of its own parse -----
 # (``to_json_dict`` reads the writer back): the same spacing, escaping and
-# key order
+# key order; and it is ``naive_json``, the schema dict built term by term,
+# which checks the numbers the writer writes, as its own parse cannot
 
 # small, 64-bit and wider coefficients; names that json.dumps must escape
 _json_coeffs = st.one_of(coefficients, wide_coefficients,
@@ -430,7 +433,7 @@ _json_names = st.sampled_from(["t", "θ", 'a"b', "x\\y"])
 @example(poly=LaurentPoly.zero(), name='a"b')
 def test_laurent_json_writer_matches_the_dict_path(poly, name):
     poly = poly.rename(name)
-    assert poly.render("json") == json.dumps(poly.to_json_dict())
+    assert poly.render("json") == json.dumps(poly.to_json_dict()) == naive_json(poly)
 
 
 # the two names of a pair differ
@@ -439,7 +442,41 @@ def test_laurent_json_writer_matches_the_dict_path(poly, name):
 @example(poly=BiPoly.zero(), names=("θ", "t"))
 def test_bivar_json_writer_matches_the_dict_path(poly, names):
     poly = poly.rename(names)
-    assert poly.render("json") == json.dumps(poly.to_json_dict())
+    assert poly.render("json") == json.dumps(poly.to_json_dict()) == naive_json(poly)
+
+
+# the constructor moves the radicand's square part into the prefactor, or
+# drops the radicand when the prefactor is zero
+@given(prefactor=bi_polys(coeffs=_json_coeffs), radicand=st.none() | bi_polys(coeffs=_json_coeffs),
+       names=st.lists(_json_names, min_size=2, max_size=2, unique=True).map(tuple))
+@example(prefactor=BiPoly.one(), radicand=BiPoly({(2, 0): 1, (0, 0): -2}), names=("a", "z"))
+def test_radical_json_writer_matches_the_naive_one(prefactor, radicand, names):
+    radicand = None if radicand is None else radicand.rename(names)
+    expr = RadicalExpr(prefactor.rename(names), radicand)
+    assert expr.render("json") == json.dumps(expr.to_json_dict()) == naive_json(expr)
+
+
+# a coefficient longer than the int-to-str digit limit: written whole with
+# the limit lifted, as ``cli.run`` lifts it, and refused by both writers
+# with it in force
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("style", ["text", "json"])
+@pytest.mark.parametrize("make", [LaurentPoly, BiPoly], ids=["laurent", "bivar"])
+def test_writers_at_the_int_to_str_digit_limit(make, style):
+    coeff = 1234567890 * (10**5000 - 1) // (10**10 - 1)   # "1234567890" 500 times
+    poly = make({(2, 1) if make is BiPoly else 1: coeff, make._UNIT: -coeff - 1})
+    caller_limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        text = poly.render(style)
+        assert text == (naive_render(poly) if style == "text" else naive_json(poly))
+        assert len(str(coeff)) == 5000 and str(coeff) in text and str(coeff + 1) in text
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            poly.render(style)
+    finally:
+        sys.set_int_max_str_digits(caller_limit)
 
 
 # -- the text writer is the naive term-by-term one ---------------------------
