@@ -105,11 +105,8 @@ def _cmd_skein_derive(args):
     roundtrip_ok = back == (c1, c2)
     named = (("c1", c1), ("c2", c2), ("b1", coeffs.b1), ("b2", coeffs.b2))
     if args.format == "json":
-        # json.dumps of the report, joined as one string: each value writes
-        # its own JSON
-        values = "".join([f', "{name}": {value.render("json")}' for name, value in named])
-        print(f'{{"family": {json.dumps(args.family)}{values}, '
-              f'"roundtrip_ok": {json.dumps(roundtrip_ok)}}}')
+        values = {name: value.to_json_dict() for name, value in named}
+        print(json.dumps({"family": args.family, **values, "roundtrip_ok": roundtrip_ok}))
     else:
         for name, value in named:
             print(f"{name} = {value.render(ascending=ascending)}")

@@ -17,6 +17,7 @@ entry runs only up to ``NUMERIC_MAX_N``.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -193,13 +194,7 @@ def run(suite: str, max_n: int):
     ``(passed, total, failures)``, one ``"<identity> n=<index>: <detail>"``
     line per failure.  ``check`` refuses the request first."""
     check(suite, max_n)
-    built = {}
-
-    def seq(builder):
-        if builder not in built:
-            built[builder] = builder(max_n)
-        return built[builder]
-
+    seq = functools.cache(lambda builder: builder(max_n))
     total = 0
     failures = []
     for ident in IDENTITIES:

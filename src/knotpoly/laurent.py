@@ -20,7 +20,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import partial
 from itertools import chain
-from math import ldexp
+from math import frexp, ldexp
 
 from ._kernels import (add_terms, compose_terms, mul_terms, neg_terms, scale_terms, sqrt_terms,
                        sub_terms)
@@ -266,13 +266,12 @@ def _evaluate(terms, points) -> complex:
     a real part and an imaginary one.  With every base on an axis each part
     is exact, rounded once: ``_horner`` over each variable's full exponent
     range (for two, one per row, then one over the rows) and one int
-    division give it.  Elsewhere each part is summed in complex floats, a
-    base on an axis raised by float pow of r, not complex pow's exp/log from
-    exponent 100, and the imaginary part's sum times i added; a sum that
-    overflows, as a coefficient past the float range does, is recomputed
-    scaled by ``_float_sum``.  A value past the float range raises one
-    OverflowError on every path, for the int division, a float or complex
-    power, or a float sum left at inf or nan."""
+    division give it.  Elsewhere ``_float_sum`` sums each part in complex
+    floats, a base on an axis raised by float pow of r, not complex pow's
+    exp/log from exponent 100, and the imaginary part's sum times i is
+    added.  A value past the float range raises one OverflowError on every
+    path, for the int division, a float or complex power, or a float sum
+    left at inf or nan."""
     zs = []
     for value in points:
         if isinstance(value, (str, bytes, bytearray, bool)):
@@ -287,8 +286,8 @@ def _evaluate(terms, points) -> complex:
         return 0j
     # per variable: (base, numerator step), with a base i^q·r on an axis as r;
     # q; and (m, e, lo, hi, step) for r = m/2^e, the range in powers of the base
-    bases, turns, dyadic = [], [], []
-    for z, (bits, lo, hi) in zip(zs, _spans(terms)):
+    bases, turns, dyadic, spans = [], [], [], _spans(terms)
+    for z, (bits, lo, hi) in zip(zs, spans):
         if z == 0 and lo < 0:
             raise ZeroBase("negative exponents cannot be evaluated at zero")
         step = 2 - (bits & 1)
@@ -309,11 +308,13 @@ def _evaluate(terms, points) -> complex:
     try:
         if len(dyadic) == len(zs):
             return complex(*[_exact_sum(part, dyadic) for part in parts])
-        re, *im = [_float_sum(part, bases) for part in parts]
+        re, *im = [_float_sum(part, bases, spans) for part in parts]
         total = complex(re.real - im[0].imag, re.imag + im[0].real) if im else re
         if cmath.isfinite(total):  # else a product past the float range, or inf - inf
             return total
-    except OverflowError:  # from a power, a scaled term or the int division
+    except (OverflowError, ZeroDivisionError):
+        # from a power, a scaled term or the int division; complex pow divides
+        # by 0 at a negative power whose positive one underflows
         pass
     raise OverflowError("the value is past the float range")
 
@@ -339,30 +340,44 @@ def _exact_sum(terms, dyadic):
     return top / bottom if top else 0.0  # 0 / a negative divisor would be -0.0
 
 
-def _float_sum(terms, bases):
-    """``_evaluate``'s complex-float sum.  After an OverflowError it is
-    recomputed with each coefficient written as m·2^s, m below 2^64 and
-    rounded once, and m times the term's power scaled by 2^s: a coefficient
-    past the float range whose term is not is summed, and a term past the
-    range raises OverflowError."""
+def _float_sum(terms, bases, spans):
+    """``_evaluate``'s complex-float sum.  A scaled pass writes each
+    coefficient as m·2^s, m below 2^64 and rounded once, and each base as
+    u·2^E, |u| near 1, and sums m·u^k scaled by 2^(s + E·k): a coefficient
+    or a power past the float range whose term is not is summed.  It runs
+    when Σ|E| times the largest power in ``spans``, in size, reaches 1000,
+    and after an overflow."""
+    # the largest power in size, and E for each base.  Past a power of 900
+    # no base is scaled: below it each u^k is within 2^±450, so m·u^k for
+    # two variables is in range
+    top, scales = 0, []
+    for (base, step), (_, lo, hi) in zip(bases, spans):
+        m, e = frexp(abs(base))
+        top = max(top, hi // step, -lo // step)
+        scales.append(e - (m < 0.7071067811865476))
     total = 0j
-    try:
-        if len(bases) == 1:
-            ((base, step),) = bases
-            for num, coeff in terms.items():
-                total += coeff * base ** (num // step)
-        else:
-            (wa, sa), (wb, sb) = bases
-            for (na, nb), coeff in terms.items():
-                total += coeff * wa ** (na // sa) * wb ** (nb // sb)
-        return total
-    except OverflowError:  # a coefficient past the float range, or a power
-        total = 0j
+    if top > 900 or top * sum(map(abs, scales)) < 1000:
+        try:
+            if len(bases) == 1:
+                ((base, step),) = bases
+                for num, coeff in terms.items():
+                    total += coeff * base ** (num // step)
+            else:
+                (wa, sa), (wb, sb) = bases
+                for (na, nb), coeff in terms.items():
+                    total += coeff * wa ** (na // sa) * wb ** (nb // sb)
+            return total
+        except OverflowError:  # a coefficient past the float range, or a power
+            total = 0j
+    units = [(ldexp(base, -e) if type(base) is float
+              else complex(ldexp(base.real, -e), ldexp(base.imag, -e)), step, e)
+             for (base, step), e in zip(bases, scales if top <= 900 else (0, 0))]
     for key, coeff in terms.items():
         s = max(coeff.bit_length() - 64, 0)
         value = coeff / (1 << s)
-        for k, (base, step) in zip((key,) if type(key) is int else key, bases):
-            value *= base ** (k // step)
+        for k, (unit, step, e) in zip((key,) if type(key) is int else key, units):
+            value *= unit ** (k // step)
+            s += e * (k // step)
         total += complex(ldexp(value.real, s), ldexp(value.imag, s))
     return total
 

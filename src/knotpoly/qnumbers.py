@@ -8,7 +8,6 @@ closed forms are empty sums there).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import islice
 
@@ -34,21 +33,17 @@ def _check_index(n) -> int:
 @dataclass(frozen=True)
 class _Recurrence:
     """P_(k+1) = c1·P_k + c2·P_(k-1) from ``seeds`` (P_0, P_1), under every
-    sequence builder.  The tail rule is chosen once: a c2 of 1 or -1 adds or
-    subtracts P_(k-1) with no product, and any other c2 costs a second one."""
+    sequence builder."""
 
     c1: object
     c2: object
     seeds: tuple
 
-    def __post_init__(self):
-        c2 = self.c2
-        object.__setattr__(self, "_tail", operator.add if c2 == 1 else operator.sub if c2 == -1
-                           else lambda head, prev: head + c2 * prev)
-
     def step(self, head, prev):
-        """P_(k+1) from ``head`` = P_k and ``prev`` = P_(k-1)."""
-        return self._tail(self.c1 * head, prev)
+        """P_(k+1) from ``head`` = P_k and ``prev`` = P_(k-1): c1·head, and a
+        c2 of 1 or -1 adds or subtracts ``prev``, any other adds c2·prev."""
+        lead, c2 = self.c1 * head, self.c2
+        return lead + prev if c2 == 1 else lead - prev if c2 == -1 else lead + c2 * prev
 
     def members(self):
         """P_0, P_1, ... without end, each step run when its member is asked for."""
@@ -61,8 +56,7 @@ class _Recurrence:
 
 def qnum_closed(n: int) -> LaurentPoly:
     """The symmetric sum q^(n-1) + q^(n-3) + ... + q^(1-n)."""
-    _check_index(n)
-    return LaurentPoly._make("q", {2 * (n - 1) - 4 * i: 1 for i in range(n)})
+    return LaurentPoly._make("q", {2 * (n - 1) - 4 * i: 1 for i in range(_check_index(n))})
 
 
 _QNUM_REC = _Recurrence(LaurentPoly._make("q", {2: 1, -2: 1}), -1,
@@ -76,13 +70,12 @@ def qnum_rec_seq(n_max: int) -> list[LaurentPoly]:
 
 def qnum_rec(n: int) -> LaurentPoly:
     """Recurrence-built q-number; equals qnum_closed(n)."""
-    return qnum_rec_seq(n)[n]
+    return next(islice(_QNUM_REC.members(), _check_index(n), None))
 
 
 def qpnum_closed(n: int) -> BiPoly:
     """The homogeneous sum of q^(n-1-i) p^i over i = 0..n-1."""
-    _check_index(n)
-    return BiPoly._make(("q", "p"), {(2 * (n - 1 - i), 2 * i): 1 for i in range(n)})
+    return BiPoly._make(("q", "p"), {(2 * (n - 1 - i), 2 * i): 1 for i in range(_check_index(n))})
 
 
 _QPNUM_REC = _Recurrence(BiPoly._make(("q", "p"), {(2, 0): 1, (0, 2): 1}),
@@ -97,4 +90,4 @@ def qpnum_rec_seq(n_max: int) -> list[BiPoly]:
 
 def qpnum_rec(n: int) -> BiPoly:
     """Recurrence-built q,p-number; equals qpnum_closed(n)."""
-    return qpnum_rec_seq(n)[n]
+    return next(islice(_QPNUM_REC.members(), _check_index(n), None))

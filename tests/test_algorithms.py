@@ -27,6 +27,8 @@ from knotpoly import (
     identities,
     invariants,
     laurent,
+    qnum_closed,
+    qpnum_closed,
 )
 from knotpoly._kernels import pure
 
@@ -483,6 +485,13 @@ def test_eval_complex_refuses_an_infinite_coordinate(evaluate):
                  id="bivar-coefficient-and-term"),
     pytest.param(lambda: RadicalExpr(BiPoly({(2, 0): 1}), BiPoly({(0, 2): 1, (0, 0): -2}))
                  .eval_complex((1e300, 1e300)), id="radical-product"),
+    # t^-3000 at 0.5 + 0.49i is about 10^465; past a power of 900 the base is
+    # not scaled, where scaled by E = -1, (2(0.5 + 0.49i))^-3000 underflows to 0
+    pytest.param(lambda: LaurentPoly({-6000: 1}).eval_complex(complex(0.5, 0.49)),
+                 id="power-past-900"),
+    # complex pow raised ZeroDivisionError: (1e-280(1 + i))^100 underflows to 0
+    pytest.param(lambda: LaurentPoly({2000: 1, -200: 1}).eval_complex(complex(1e-280, 1e-280)),
+                 id="negative-power-whose-positive-underflows"),
 ])
 def test_eval_complex_refuses_a_value_past_the_float_range(evaluate):
     with pytest.raises(OverflowError, match="^the value is past the float range$"):
@@ -490,7 +499,10 @@ def test_eval_complex_refuses_a_value_past_the_float_range(evaluate):
 
 
 # a coefficient past the float range is summed when its term is not: written
-# as m·2^s, m·power is scaled by 2^s, where int-to-float conversion overflowed
+# as m·2^s, m·power is scaled by 2^s, where int-to-float conversion overflowed.
+# Off the axes so is a power that leaves the range: a base written as u·2^E
+# adds E·k to the exponent of m·u^k, where (1e-200(1 + i))^2 underflowed to 0
+# before the coefficient scaled it
 @pytest.mark.parametrize("poly, point, want", [
     pytest.param(LaurentPoly({4: 10**400}), 1e-150j, -1e100, id="imaginary-axis"),
     pytest.param(LaurentPoly({1: 10**400}), 1e-300, 1e250, id="half-exponent"),
@@ -500,9 +512,40 @@ def test_eval_complex_refuses_a_value_past_the_float_range(evaluate):
     pytest.param(BiPoly({(2, 2): 10**400, (0, 0): 2}), (1e-200j, 1e-100), complex(2, 1e100),
                  id="bivar"),
     pytest.param(BiPoly({(1, 0): 3 * 10**400}), (1e-300, 1.0), 3e250, id="bivar-half-exponent"),
+    pytest.param(LaurentPoly({4: 10**300}), complex(1e-200, 1e-200), 2e-100j,
+                 id="off-axis-power-underflows"),
+    pytest.param(LaurentPoly({4: 10**400}), complex(1e-200, 1e-200), 2j,
+                 id="off-axis-power-underflows-coefficient-past-the-range"),
+    pytest.param(BiPoly({(4, 0): 10**400}), (complex(1e-200, 1e-200), 1.0), 2j,
+                 id="bivar-off-axis-power-underflows"),
+    # past 900 no base is scaled: (1.6 + 0.8i)/2 to the 823rd times 0.5^1072
+    # and m would underflow, where the unscaled powers do not
+    pytest.param(BiPoly({(1646, 2144): 3 * 10**330}), (complex(1.6, 0.8), 0.5j),
+                 complex(-5.318373590525483e214, -4.3547892779834456e215),
+                 id="bivar-power-past-900"),
 ])
 def test_eval_complex_sums_a_coefficient_past_the_float_range(poly, point, want):
     assert cmath.isclose(poly.eval_complex(point), want, rel_tol=1e-12)
+
+
+# trig's own points stay on the plain complex-float sum, term by term in the
+# order of the term dict, so their values keep every bit
+def test_eval_complex_at_trig_points_is_the_plain_float_sum():
+    thetas = (0.3, 0.7, 1.1, 2.0)
+    for n in range(151):
+        poly = qnum_closed(n)
+        for base in [cmath.exp(1j * th) for th in thetas]:
+            want = 0j
+            for num, coeff in poly.terms.items():
+                want += coeff * base ** (num // 2)
+            assert repr(poly.eval_complex(base)) == repr(want)
+        poly = qpnum_closed(n)
+        for wa, wb in [(r * cmath.exp(1j * th), r * cmath.exp(-1j * th))
+                       for th in thetas for r in (0.5, 1.0, 2.0)]:
+            want = 0j
+            for (na, nb), coeff in poly.terms.items():
+                want += coeff * wa ** (na // 2) * wb ** (nb // 2)
+            assert repr(poly.eval_complex((wa, wb))) == repr(want)
 
 
 # on both axes the sum is exact, rounded once: a base i^q·r puts each term's

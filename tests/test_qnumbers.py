@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from knotpoly import (
@@ -54,3 +57,18 @@ class TestIdentities:
     def test_classical_limit_at_one(self):
         for n in range(41):
             assert qnum_closed(n).eval_complex(1) == n
+
+
+# one member is read off the recurrence holding two members at a time: the
+# n + 1 members of qnum_rec_seq(800) peak at about 21 MB, and those of
+# qpnum_rec_seq(600) at about 23 MB.  The peak is tracemalloc's, taken in a
+# child process, as for the tables in test_cli.py.
+def test_a_single_member_holds_two_members():
+    code = ("import sys, tracemalloc\nfrom knotpoly import qnum_rec, qpnum_rec\n"
+            "tracemalloc.start()\nfor build, n in ((qnum_rec, 800), (qpnum_rec, 600)):\n"
+            "    tracemalloc.reset_peak()\n    build(n)\n"
+            "    sys.stderr.write(f'{tracemalloc.get_traced_memory()[1]} ')")
+    proc = subprocess.run([sys.executable, "-c", code], stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True, check=True)
+    peaks = [int(peak) for peak in proc.stderr.split()]
+    assert len(peaks) == 2 and max(peaks) < 5 * 2**20, peaks

@@ -2,6 +2,7 @@
 ``knotpoly`` line of its shell blocks exits 0 and, for the commands that
 print one polynomial or a verify summary, prints its comment."""
 
+import functools
 import re
 import shlex
 from pathlib import Path
@@ -36,13 +37,7 @@ def test_registry_example_is_a_registry_entry():
                 if lang == "python" and body.startswith("Identity(")]
     assert examples
     entries = {ident.name: ident for ident in identities.IDENTITIES}
-    built = {}
-
-    def seq(builder):
-        if builder not in built:
-            built[builder] = builder(10)
-        return built[builder]
-
+    seq = functools.cache(lambda builder: builder(10))
     for example in examples:
         assert example.name in entries
         entry = entries[example.name]
